@@ -80,6 +80,10 @@ impl Network {
     pub fn eliminate(&mut self, params: &EliminateParams) -> Result<usize> {
         let _span = bds_trace::span!("net.eliminate");
         let mut eliminated = 0;
+        let mut is_output = vec![false; self.signals.len()];
+        for &o in self.outputs() {
+            is_output[o.index()] = true;
+        }
         for _ in 0..params.max_passes {
             let mut changed = 0;
             // Reverse topological order: collapsing sinks first exposes
@@ -87,7 +91,7 @@ impl Network {
             let mut order = self.topo_order();
             order.reverse();
             for sig in order {
-                if self.node(sig).is_none() || self.outputs().contains(&sig) {
+                if self.node(sig).is_none() || is_output[sig.index()] {
                     continue;
                 }
                 if self.try_eliminate(sig, params)? {
@@ -108,8 +112,7 @@ impl Network {
     /// `Ok(false)` means the collapse was not profitable or not feasible;
     /// errors are reserved for structural corruption.
     fn try_eliminate(&mut self, sig: SignalId, params: &EliminateParams) -> Result<bool> {
-        let fanouts_map = self.fanouts();
-        let fanouts = fanouts_map[sig.index()].clone();
+        let fanouts = self.fanouts_of(sig).to_vec();
         if fanouts.is_empty() || fanouts.len() > params.max_fanout {
             return Ok(false);
         }
@@ -123,7 +126,7 @@ impl Network {
             return Ok(false);
         };
         let mut old_cost = own_size as isize;
-        let mut new_nodes: Vec<(SignalId, Vec<SignalId>, Cover)> = Vec::new();
+        let mut composed: Vec<(SignalId, Vec<SignalId>, Composed, Option<Cover>)> = Vec::new();
         let mut new_cost = 0isize;
         for &fo in &fanouts {
             let Some(fo_size) = self.collapse_cost(fo, params) else {
@@ -133,7 +136,7 @@ impl Network {
             // Merged fanin list: fanout fanins minus sig, plus sig's fanins.
             let Some((fo_fanins, _)) = self.node(fo) else {
                 return Err(NetworkError::Inconsistent {
-                    detail: format!("fanout map lists non-node `{}`", self.signal_name(fo)),
+                    detail: format!("fanout index lists non-node `{}`", self.signal_name(fo)),
                 });
             };
             let mut merged: Vec<SignalId> = Vec::new();
@@ -150,19 +153,35 @@ impl Network {
             if merged.len() > params.max_support {
                 return Ok(false);
             }
-            let Some((cover, bdd_size)) =
-                self.composed_cover(fo, sig, &merged, params.max_local_bdd)
-            else {
+            let Some(mut c) = self.compose(fo, sig, &merged, params.max_local_bdd) else {
                 return Ok(false);
             };
-            new_cost += match params.cost {
-                EliminateCost::BddNodes => bdd_size as isize,
-                EliminateCost::Literals => cover.literal_count() as isize,
+            // The BDD cost needs no cover; the ISOP is extracted only for
+            // an accepted collapse.
+            let cover = match params.cost {
+                EliminateCost::BddNodes => {
+                    new_cost += c.size as isize;
+                    None
+                }
+                EliminateCost::Literals => {
+                    let Some(cover) = c.isop_cover() else {
+                        return Ok(false);
+                    };
+                    new_cost += cover.literal_count() as isize;
+                    Some(cover)
+                }
             };
-            new_nodes.push((fo, merged, cover));
+            composed.push((fo, merged, c, cover));
         }
         if new_cost - old_cost > params.growth_allowance {
             return Ok(false);
+        }
+        let mut new_nodes = Vec::with_capacity(composed.len());
+        for (fo, merged, mut c, cover) in composed {
+            let Some(cover) = cover.or_else(|| c.isop_cover()) else {
+                return Ok(false);
+            };
+            new_nodes.push((fo, merged, cover));
         }
         bds_trace::event!(
             "net.eliminate.collapse",
@@ -206,16 +225,15 @@ impl Network {
         (size <= limit).then_some(size)
     }
 
-    /// Builds the cover of `fanout` with `sig` substituted by its local
-    /// function, over the `merged` fanin list. Returns the cover and the
-    /// BDD size, or `None` on blow-up.
-    fn composed_cover(
+    /// Builds the BDD of `fanout` with `sig` substituted by its local
+    /// function, over the `merged` fanin list, or `None` on blow-up.
+    fn compose(
         &self,
         fanout: SignalId,
         sig: SignalId,
         merged: &[SignalId],
         limit: usize,
-    ) -> Option<(Cover, usize)> {
+    ) -> Option<Composed> {
         let (fo_fanins, fo_cover) = self.node(fanout)?;
         let (own_fanins, own_cover) = self.node(sig)?;
         let mut mgr = Manager::with_node_limit(limit.saturating_mul(8).max(256));
@@ -239,17 +257,42 @@ impl Network {
             })
             .collect::<std::result::Result<_, bds_bdd::BddError>>()
             .ok()?;
-        let composed = crate::global::cover_to_bdd_edges(&mut mgr, fo_cover, &fanin_edges).ok()?;
-        let size = mgr.size(composed);
+        let edge = crate::global::cover_to_bdd_edges(&mut mgr, fo_cover, &fanin_edges).ok()?;
+        let size = mgr.size(edge);
         if size > limit {
             return None;
         }
-        // Extract an ISOP cover over the merged positions.
-        let (cubes, _) = mgr.isop(composed, composed).ok()?;
-        let pos_of: HashMap<usize, u32> = merged
+        let var_index = merged.iter().map(|f| var_of[f].index()).collect();
+        Some(Composed {
+            mgr,
+            edge,
+            size,
+            var_index,
+        })
+    }
+}
+
+/// A fanout's function with the candidate substituted, as a BDD in its
+/// own manager.
+struct Composed {
+    mgr: Manager,
+    edge: Edge,
+    /// BDD nodes of `edge`.
+    size: usize,
+    /// Manager variable index of each merged fanin position.
+    var_index: Vec<usize>,
+}
+
+impl Composed {
+    /// An ISOP cover over the merged fanin positions, or `None` on
+    /// blow-up.
+    fn isop_cover(&mut self) -> Option<Cover> {
+        let (cubes, _) = self.mgr.isop(self.edge, self.edge).ok()?;
+        let pos_of: HashMap<usize, u32> = self
+            .var_index
             .iter()
             .enumerate()
-            .map(|(i, &f)| (var_of[&f].index(), i as u32))
+            .map(|(i, &v)| (v, i as u32))
             .collect();
         let mut mapped_cubes = Vec::with_capacity(cubes.len());
         for c in &cubes {
@@ -263,8 +306,7 @@ impl Network {
             )?;
             mapped_cubes.push(cube);
         }
-        let cover = Cover::from_cubes(mapped_cubes);
-        Some((cover, size))
+        Some(Cover::from_cubes(mapped_cubes))
     }
 }
 

@@ -14,7 +14,11 @@
 //!    input-driven, and the input list covers exactly the input-driven
 //!    signals,
 //! 5. [`Network::topo_order`] covers every signal exactly once, fanins
-//!    first.
+//!    first,
+//! 6. the incremental fanout index, once built, equals a from-scratch
+//!    recompute, in order and with repeats,
+//! 7. the incremental topological positions are valid: every fanin sits
+//!    strictly before the node that reads it.
 //!
 //! [`Network::check_invariants`] always runs the full audit;
 //! [`Network::audit`] gates it behind [`STRICT_CHECKS`]
@@ -215,6 +219,49 @@ impl Network {
                 }
             }
         }
+
+        // The incremental fanout index, once built, matches a recompute,
+        // in order and with repeats.
+        if let Some(index) = self.fanouts.get() {
+            if index.len() != n {
+                return inconsistent(format!(
+                    "fanout index holds {} lists for {n} signals",
+                    index.len()
+                ));
+            }
+            for (idx, (kept, want)) in index.iter().zip(self.fanout_lists()).enumerate() {
+                if *kept != want {
+                    return inconsistent(format!(
+                        "fanout index of `{}` lists {kept:?} but the fanin lists give {want:?}",
+                        self.signals[idx].name
+                    ));
+                }
+            }
+        }
+
+        // The incremental topological positions order every edge.
+        if self.topo_pos.len() != n {
+            return inconsistent(format!(
+                "{} topological positions for {n} signals",
+                self.topo_pos.len()
+            ));
+        }
+        for (idx, entry) in self.signals.iter().enumerate() {
+            let Driver::Node(nd) = &entry.driver else {
+                continue;
+            };
+            for &f in &nd.fanins {
+                if self.topo_pos[f.index()] >= self.topo_pos[idx] {
+                    return inconsistent(format!(
+                        "topological position of fanin `{}` ({}) is not below that of `{}` ({})",
+                        self.signals[f.index()].name,
+                        self.topo_pos[f.index()],
+                        entry.name,
+                        self.topo_pos[idx]
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -350,6 +397,54 @@ mod tests {
         n.inputs.pop();
         let err = n.check_invariants().unwrap_err();
         assert!(err.to_string().contains("input"), "{err}");
+    }
+
+    #[test]
+    fn fanout_index_extra_entry_detected() {
+        let mut n = sample();
+        let b = n.signal_id("b").unwrap();
+        let f = n.signal_id("f").unwrap();
+        n.fanouts_of(b);
+        n.fanouts.get_mut().unwrap()[b.index()].push(f);
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("fanout index of `b`"), "{err}");
+    }
+
+    #[test]
+    fn fanout_index_order_detected() {
+        let mut n = sample();
+        let a = n.signal_id("a").unwrap();
+        n.fanouts_of(a);
+        n.fanouts.get_mut().unwrap()[a.index()].reverse();
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("fanout index of `a`"), "{err}");
+    }
+
+    #[test]
+    fn fanout_index_missing_repeat_detected() {
+        let mut n = sample();
+        let a = n.signal_id("a").unwrap();
+        let g = n.signal_id("g").unwrap();
+        let xor = Cover::from_cubes(vec![
+            Cube::parse(&[(0, true), (1, false)]),
+            Cube::parse(&[(0, false), (1, true)]),
+        ]);
+        n.fanouts_of(a);
+        n.replace_node(g, vec![a, a], xor).unwrap();
+        n.check_invariants().unwrap();
+        n.fanouts.get_mut().unwrap()[a.index()].dedup();
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("fanout index of `a`"), "{err}");
+    }
+
+    #[test]
+    fn topological_position_inversion_detected() {
+        let mut n = sample();
+        let g = n.signal_id("g").unwrap();
+        let f = n.signal_id("f").unwrap();
+        n.topo_pos.swap(g.index(), f.index());
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("topological position"), "{err}");
     }
 
     #[test]

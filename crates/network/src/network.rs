@@ -1,6 +1,7 @@
 //! The Boolean-network data structure.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use bds_sop::Cover;
 
@@ -44,6 +45,11 @@ pub(crate) struct SignalEntry {
 /// Nodes carry local functions as SOP covers over their fanins. The
 /// network is a DAG by construction: `add_node` only accepts existing
 /// signals as fanins, and `replace_node` re-checks acyclicity.
+///
+/// Two indexes are kept up to date incrementally so the rewriting passes
+/// stay linear: the fanout lists ([`Network::fanouts_of`]) and a
+/// topological position per signal, which lets `replace_node` prove most
+/// rewires acyclic without a search.
 #[derive(Clone, Debug)]
 pub struct Network {
     name: String,
@@ -52,6 +58,16 @@ pub struct Network {
     pub(crate) inputs: Vec<SignalId>,
     pub(crate) outputs: Vec<SignalId>,
     fresh_counter: u32,
+    /// Per signal, the nodes reading it: sorted by id, one entry per
+    /// fanin position (a node reading a signal twice appears twice).
+    /// Built on first use and kept up to date from then on, so a network
+    /// that is only built and written never pays for it.
+    pub(crate) fanouts: OnceLock<Vec<Vec<SignalId>>>,
+    /// Per signal, a topological position: `topo_pos[f] < topo_pos[s]`
+    /// for every fanin `f` of every node `s`.
+    pub(crate) topo_pos: Vec<u32>,
+    index_work: u64,
+    topo_fallbacks: u64,
 }
 
 impl Network {
@@ -64,6 +80,10 @@ impl Network {
             inputs: Vec::new(),
             outputs: Vec::new(),
             fresh_counter: 0,
+            fanouts: OnceLock::new(),
+            topo_pos: Vec::new(),
+            index_work: 0,
+            topo_fallbacks: 0,
         }
     }
 
@@ -119,6 +139,18 @@ impl Network {
         }
         let id = SignalId(self.signals.len() as u32);
         self.by_name.insert(name.clone(), id);
+        // The newest signal has the largest id and position, so linking
+        // is an append and creation order stays topological.
+        if let Some(index) = self.fanouts.get_mut() {
+            if let Driver::Node(nd) = &driver {
+                for &f in &nd.fanins {
+                    index[f.index()].push(id);
+                }
+                self.index_work += nd.fanins.len() as u64;
+            }
+            index.push(Vec::new());
+        }
+        self.topo_pos.push(id.0);
         self.signals.push(SignalEntry { name, driver });
         Ok(id)
     }
@@ -155,21 +187,59 @@ impl Network {
             self.check_signal(f)?;
         }
         Self::check_cover(&fanins, &cover)?;
-        if !matches!(self.signals[sig.index()].driver, Driver::Node(_)) {
+        let Driver::Node(old) = &self.signals[sig.index()].driver else {
             return Err(NetworkError::Inconsistent {
                 detail: format!("`{}` is a primary input", self.signal_name(sig)),
             });
-        }
-        // Cycle check: no new fanin may (transitively) depend on sig.
-        let downstream = self.transitive_fanout(sig);
+        };
+        // Multiset difference of the fanin lists: the entries to unlink
+        // and the genuinely new fanins to link.
+        let mut dropped = old.fanins.clone();
+        let mut added = Vec::new();
         for &f in &fanins {
-            if f == sig || downstream.contains(&f) {
+            match dropped.iter().position(|&x| x == f) {
+                Some(i) => {
+                    dropped.swap_remove(i);
+                }
+                None => added.push(f),
+            }
+        }
+        // Only genuinely new fanins can close a cycle, and one placed
+        // before `sig` in the topological order cannot.
+        let pos = self.topo_pos[sig.index()];
+        let reorder = added.iter().any(|f| self.topo_pos[f.index()] >= pos);
+        if reorder {
+            self.topo_fallbacks += 1;
+            let downstream = self.transitive_fanout(sig);
+            self.index_work += downstream.len() as u64;
+            if added.iter().any(|&f| f == sig || downstream.contains(&f)) {
                 return Err(NetworkError::Cycle {
                     name: self.signal_name(sig).to_string(),
                 });
             }
         }
+        if let Some(index) = self.fanouts.get_mut() {
+            for &f in &dropped {
+                let list = &mut index[f.index()];
+                let at = list.partition_point(|&x| x < sig);
+                if list.get(at) == Some(&sig) {
+                    list.remove(at);
+                }
+            }
+            for &f in &added {
+                let list = &mut index[f.index()];
+                let at = list.partition_point(|&x| x < sig);
+                list.insert(at, sig);
+            }
+            self.index_work += (dropped.len() + added.len()) as u64;
+        }
         self.signals[sig.index()].driver = Driver::Node(NodeData { fanins, cover });
+        if reorder {
+            for (i, s) in self.topo_order().into_iter().enumerate() {
+                self.topo_pos[s.index()] = i as u32;
+            }
+            self.index_work += self.signals.len() as u64;
+        }
         Ok(())
     }
 
@@ -290,26 +360,62 @@ impl Network {
         order
     }
 
-    /// Map from signal to the list of nodes that use it as a fanin.
-    pub fn fanouts(&self) -> Vec<Vec<SignalId>> {
+    /// The nodes that use `sig` as a fanin, sorted by id, one entry per
+    /// fanin position (a node reading `sig` twice is listed twice).
+    ///
+    /// # Panics
+    /// Panics on a foreign id.
+    pub fn fanouts_of(&self, sig: SignalId) -> &[SignalId] {
+        &self.fanouts.get_or_init(|| self.fanout_lists())[sig.index()]
+    }
+
+    /// The fanout lists computed from scratch by one scan of every
+    /// node's fanins.
+    pub(crate) fn fanout_lists(&self) -> Vec<Vec<SignalId>> {
         let mut out = vec![Vec::new(); self.signals.len()];
-        for sig in self.signals() {
-            if let Some(nd) = self.node_data(sig) {
+        for (idx, entry) in self.signals.iter().enumerate() {
+            if let Driver::Node(nd) = &entry.driver {
                 for &f in &nd.fanins {
-                    out[f.index()].push(sig);
+                    out[f.index()].push(SignalId(idx as u32));
                 }
             }
         }
         out
     }
 
+    /// A topological position of `sig`: every fanin of a node has a
+    /// smaller position than the node. Positions start in creation order
+    /// and change only when `replace_node` has to renumber.
+    ///
+    /// # Panics
+    /// Panics on a foreign id.
+    pub fn topo_position(&self, sig: SignalId) -> usize {
+        self.topo_pos[sig.index()] as usize
+    }
+
+    /// Deterministic count of the work spent keeping the incremental
+    /// indexes: fanout-list entries inserted or removed, plus signals
+    /// visited by fallback cycle searches and renumberings. The one-off
+    /// build of the fanout index on first use, linear in signals plus
+    /// edges, is not counted. Carried over by `clone` and
+    /// [`Network::compacted`].
+    pub fn index_work(&self) -> u64 {
+        self.index_work
+    }
+
+    /// Number of `replace_node` calls whose new fanins were not already
+    /// placed before the node, forcing a reachability search and a
+    /// renumbering of the topological positions.
+    pub fn topo_fallbacks(&self) -> u64 {
+        self.topo_fallbacks
+    }
+
     /// All signals that transitively depend on `sig` (excluding `sig`).
-    pub fn transitive_fanout(&self, sig: SignalId) -> HashSet<SignalId> {
-        let fanouts = self.fanouts();
+    fn transitive_fanout(&self, sig: SignalId) -> HashSet<SignalId> {
         let mut seen = HashSet::new();
         let mut stack = vec![sig];
         while let Some(s) = stack.pop() {
-            for &t in &fanouts[s.index()] {
+            for &t in self.fanouts_of(s) {
                 if seen.insert(t) {
                     stack.push(t);
                 }
@@ -354,46 +460,9 @@ impl Network {
         }
     }
 
-    /// Removes internal nodes not reachable from any primary output.
-    /// Returns the number of nodes removed. Ids of surviving signals are
-    /// preserved (removed slots become zero-fanin false nodes that no
-    /// longer count as nodes — they are fully unlinked).
-    pub fn remove_dangling(&mut self) -> usize {
-        // Mark reachable signals from outputs.
-        let mut live: HashSet<SignalId> = HashSet::new();
-        let mut stack: Vec<SignalId> = self.outputs.clone();
-        while let Some(s) = stack.pop() {
-            if !live.insert(s) {
-                continue;
-            }
-            if let Some(nd) = self.node_data(s) {
-                stack.extend(nd.fanins.iter().copied());
-            }
-        }
-        let mut removed = 0;
-        for idx in 0..self.signals.len() {
-            let sig = SignalId(idx as u32);
-            if live.contains(&sig) || self.is_input(sig) {
-                continue;
-            }
-            if matches!(self.signals[idx].driver, Driver::Node(_)) {
-                // Unlink: keep the name reserved but drop the logic.
-                self.signals[idx].driver = Driver::Node(NodeData {
-                    fanins: Vec::new(),
-                    cover: Cover::zero(),
-                });
-                removed += 1;
-            }
-        }
-        // A second pass compacts nothing (ids are stable by design); the
-        // node count for statistics ignores unlinked zero nodes only if
-        // they are again unreachable, which they are.
-        removed
-    }
-
     /// Rebuilds the network keeping only signals reachable from the
     /// outputs (plus all primary inputs). Returns the compacted network;
-    /// signal ids are renumbered.
+    /// signal ids are renumbered. The index work tallies carry over.
     ///
     /// # Errors
     /// [`NetworkError::Inconsistent`] if the source network is corrupt —
@@ -453,6 +522,8 @@ impl Network {
                 })?;
             out.mark_output(mapped)?;
         }
+        out.index_work += self.index_work;
+        out.topo_fallbacks += self.topo_fallbacks;
         Ok(out)
     }
 }

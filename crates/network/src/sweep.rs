@@ -142,13 +142,13 @@ impl Network {
             }
             let value = !cover.is_empty();
             // Substitute into every fanout.
-            let fanouts = self.fanouts();
-            for &fo in &fanouts[sig.index()] {
+            let fanouts = self.fanouts_of(sig).to_vec();
+            for fo in fanouts {
                 let (fo_fanins, fo_cover) = self.node_checked(fo)?;
                 let pos = fo_fanins.iter().position(|&f| f == sig).ok_or_else(|| {
                     NetworkError::Inconsistent {
                         detail: format!(
-                            "fanout map lists `{}` under `{}` but the fanin list disagrees",
+                            "fanout index lists `{}` under `{}` but the fanin list disagrees",
                             self.signal_name(fo),
                             self.signal_name(sig)
                         ),
@@ -206,8 +206,8 @@ impl Network {
     /// driver. Returns the number of nodes rewritten.
     fn replace_uses(&mut self, old: SignalId, new: SignalId) -> Result<usize> {
         let mut changed = 0;
-        let fanouts = self.fanouts();
-        for &fo in &fanouts[old.index()] {
+        let fanouts = self.fanouts_of(old).to_vec();
+        for fo in fanouts {
             if fo == new {
                 continue;
             }

@@ -14,7 +14,7 @@ use bds_repro::bdd::{reorder, transfer, Edge, Manager, Var};
 use bds_repro::core::decompose::{DecomposeParams, Decomposer};
 use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::network::verify::{verify, Verdict};
-use bds_repro::network::{blif, EliminateParams, Network};
+use bds_repro::network::{blif, EliminateParams, Network, NetworkError, SignalId};
 use bds_repro::sop::{factor::factor, Cover, Cube};
 
 const NVARS: usize = 5;
@@ -290,6 +290,207 @@ fn blif_round_trip() {
             "round trip must preserve the function"
         );
     });
+}
+
+/// Random `replace_node` sequences, interleaved with `add_node`, on random
+/// DAGs keep the fanout index and the topological positions exact. A rewire that would close a cycle
+/// (self-loops included) is rejected with `NetworkError::Cycle` and leaves
+/// the network untouched; every other rewire is accepted, either through
+/// the position shortcut or through the fallback search.
+#[test]
+fn replace_node_sequences_keep_indexes_exact() {
+    let (mut rejected, mut fallbacks) = (0u64, 0u64);
+    check_cases("replace_node sequences", CASES, |rng| {
+        let mut net = random_dag(rng);
+        let mut nodes = net.node_ids();
+        let mut all: Vec<SignalId> = net.signals().collect();
+        for step in 0..24 {
+            let arity = rng.range_usize(1..4);
+            let fanins: Vec<SignalId> = (0..arity).map(|_| *rng.choose(&all)).collect();
+            let cover = random_cover(rng, arity);
+            // Interleave node additions, which must extend the built index.
+            if rng.range_u32(0..4) == 0 {
+                let sig = net
+                    .add_node(format!("m{step}"), fanins, cover)
+                    .expect("unique");
+                nodes.push(sig);
+                all.push(sig);
+                net.check_invariants().expect("indexes stay exact");
+                continue;
+            }
+            let sig = *rng.choose(&nodes);
+            let closes_cycle = fanins.iter().any(|&f| depends_on(&net, f, sig));
+            let before = index_view(&net);
+            let fallbacks_before = net.topo_fallbacks();
+            match net.replace_node(sig, fanins.clone(), cover) {
+                Err(NetworkError::Cycle { .. }) => {
+                    assert!(closes_cycle, "acyclic rewire rejected");
+                    assert_eq!(
+                        index_view(&net),
+                        before,
+                        "rejected rewire changed the network"
+                    );
+                    rejected += 1;
+                }
+                Ok(()) => {
+                    assert!(!closes_cycle, "cycle-closing rewire accepted");
+                    assert_eq!(net.node(sig).expect("node").0, &fanins[..]);
+                }
+                Err(e) => panic!("unexpected rewire error: {e}"),
+            }
+            fallbacks += net.topo_fallbacks() - fallbacks_before;
+            net.check_invariants().expect("indexes stay exact");
+        }
+    });
+    assert!(rejected > 0, "no cycle-closing rewire was generated");
+    assert!(
+        fallbacks > rejected,
+        "no rewire was accepted through the fallback"
+    );
+}
+
+/// A BLIF file whose `.names` blocks appear in reverse topological order
+/// parses through the fallback path and computes the same function as the
+/// forward-order file.
+#[test]
+fn reverse_order_blif_parses_through_fallback() {
+    check_cases("reverse-order blif", CASES, |rng| {
+        let fp = random_program(rng);
+        let seed = rng.next_u64();
+        let text = blif::write(&random_net(&fp, seed));
+        let forward = blif::parse(&text).expect("forward order parses");
+        let reversed = blif::parse(&reverse_names_blocks(&text)).expect("reverse order parses");
+        assert_eq!(
+            forward.topo_fallbacks(),
+            0,
+            "forward order needs no fallback"
+        );
+        assert!(
+            reversed.topo_fallbacks() > 0,
+            "reverse order must exercise the fallback"
+        );
+        reversed
+            .check_invariants()
+            .expect("renumbered indexes are exact");
+        for assign in assignments() {
+            assert_eq!(
+                forward.eval(&assign).expect("eval"),
+                reversed.eval(&assign).expect("eval")
+            );
+        }
+    });
+}
+
+/// Combinational loops in BLIF are still rejected with `Cycle`.
+#[test]
+fn cyclic_blif_rejected() {
+    let two_node_loop = "\
+.model loop
+.inputs a
+.outputs f
+.names a g f
+11 1
+.names f g
+0 1
+.end
+";
+    let self_loop = ".model self\n.inputs a\n.outputs f\n.names a f f\n11 1\n.end\n";
+    for text in [two_node_loop, self_loop] {
+        assert!(
+            matches!(blif::parse(text), Err(NetworkError::Cycle { .. })),
+            "loop accepted: {text}"
+        );
+    }
+}
+
+/// The BLIF text with its `.names` blocks in reverse order.
+fn reverse_names_blocks(text: &str) -> String {
+    let start = text.find(".names").expect("has nodes");
+    let end = text.rfind(".end").expect("has .end");
+    let mut blocks: Vec<String> = Vec::new();
+    for line in text[start..end].lines() {
+        if line.starts_with(".names") {
+            blocks.push(String::new());
+        }
+        let block = blocks.last_mut().expect("starts at a .names line");
+        block.push_str(line);
+        block.push('\n');
+    }
+    let mut out = text[..start].to_string();
+    for block in blocks.iter().rev() {
+        out.push_str(block);
+    }
+    out.push_str(&text[end..]);
+    out
+}
+
+/// A random DAG over `NVARS` inputs: each node reads one to three earlier
+/// signals through a random cover.
+fn random_dag(rng: &mut Rng) -> Network {
+    let mut net = Network::new("dag");
+    let mut signals: Vec<SignalId> = (0..NVARS)
+        .map(|i| net.add_input(format!("i{i}")).expect("unique"))
+        .collect();
+    for k in 0..rng.range_usize(3..10) {
+        let arity = rng.range_usize(1..4);
+        let fanins: Vec<SignalId> = (0..arity).map(|_| *rng.choose(&signals)).collect();
+        let cover = random_cover(rng, arity);
+        let sig = net
+            .add_node(format!("n{k}"), fanins, cover)
+            .expect("unique");
+        net.mark_output(sig).expect("valid");
+        signals.push(sig);
+    }
+    net
+}
+
+/// A random cover of one to three cubes over fanin positions `0..arity`.
+fn random_cover(rng: &mut Rng, arity: usize) -> Cover {
+    let cubes = (0..rng.range_usize(1..4))
+        .map(|_| {
+            let mut lits: Vec<(u32, bool)> = Vec::new();
+            for v in 0..arity as u32 {
+                if rng.bool() {
+                    lits.push((v, rng.bool()));
+                }
+            }
+            if lits.is_empty() {
+                lits.push((0, rng.bool()));
+            }
+            Cube::new(lits).expect("distinct positions")
+        })
+        .collect();
+    Cover::from_cubes(cubes)
+}
+
+/// True if `sig` is `from` or lies in its transitive fanin.
+fn depends_on(net: &Network, from: SignalId, sig: SignalId) -> bool {
+    let mut stack = vec![from];
+    let mut seen = vec![false; net.signals().count()];
+    while let Some(s) = stack.pop() {
+        if s == sig {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[s.index()], true) {
+            if let Some((fanins, _)) = net.node(s) {
+                stack.extend_from_slice(fanins);
+            }
+        }
+    }
+    false
+}
+
+/// Every signal's fanins, fanout list and topological position.
+fn index_view(net: &Network) -> Vec<(Option<Vec<SignalId>>, Vec<SignalId>, usize)> {
+    net.signals()
+        .map(|s| {
+            (
+                net.node(s).map(|(fanins, _)| fanins.to_vec()),
+                net.fanouts_of(s).to_vec(),
+                net.topo_position(s),
+            )
+        })
+        .collect()
 }
 
 /// Builds a small network from the expression program: a chain of 2-input
