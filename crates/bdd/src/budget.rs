@@ -247,12 +247,12 @@ mod tests {
 
     #[test]
     fn profiler_samples_ride_the_effort_clock() {
-        bds_trace::profile::clear_profile();
+        bds_trace::reset();
         let mut m = Manager::new();
         while m.effort_spent() < 3 * bds_trace::profile::PROFILE_INTERVAL {
             xor_chain(&mut m, 8).unwrap();
         }
-        let p = bds_trace::profile::take_profile();
+        let p = bds_trace::Capture::take().profile;
         if bds_trace::is_enabled() {
             assert!(p.sample_total() >= 3, "got {p:?}");
             assert!(p

@@ -24,7 +24,7 @@ use bds_bdd::reorder::{sift, SiftLimits};
 use bds_bdd::{BddError, Fault, Manager, OpStats};
 use bds_network::{EliminateParams, Network, NetworkError, SignalId};
 use bds_sop::{Cover, Expr};
-use bds_trace::Stopwatch;
+use bds_trace::{Capture, Stopwatch};
 
 use bds_map::{map_network, Library};
 
@@ -279,28 +279,24 @@ pub struct FlowReport {
 /// partitioned fallback instead of failing.
 pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowReport), NetworkError> {
     let _span = bds_trace::span!("flow");
-    // Any BDD work on this thread outside a supernode (eliminate's cost
-    // probes, the global build) samples under the global scope; the
-    // flow always runs those on the calling thread, so the timeline is
-    // identical at any `jobs` setting.
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let start = Stopwatch::start();
     let mut work = net.compacted()?;
     // Phase boundary: sweep audits the network on exit (strict builds).
     work.sweep()?;
     let base_literals = work.stats().literals;
     let lib = Library::mcnc();
-    let base_area = map_network(&work, &lib).map_or(f64::INFINITY, |m| m.area);
+    let mapped_area = |n: &Network| map_network(n, &lib).map_or(f64::INFINITY, |m| m.area);
+    let base_area = mapped_area(&work);
 
     // The decomposition is "a search process for the most efficient
     // decomposition" (paper §IV-C); at the flow level we likewise keep a
-    // small portfolio and select by literal count.
-    let mut candidates: Vec<(Network, FlowReport)> = Vec::new();
+    // small portfolio and select by mapped area.
+    let mut candidates: Vec<(Network, FlowReport, f64)> = Vec::new();
 
     if params.global_limit > 0 && work.inputs().len() <= params.global_max_inputs {
         match optimize_global(&work, params) {
             Ok((out, mut report)) => {
-                let area = map_network(&out, &lib).map_or(f64::INFINITY, |m| m.area);
+                let area = mapped_area(&out);
                 if out.stats().literals <= base_literals && area <= base_area {
                     // Fast path: the global decomposition improved (or
                     // matched) both the network and its mapping — accept
@@ -316,7 +312,7 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
                     report.seconds = start.seconds();
                     return Ok((out, report));
                 }
-                candidates.push((out, report));
+                candidates.push((out, report, area));
             }
             Err(NetworkError::Bdd(_)) => { /* global form infeasible */ }
             Err(other) => return Err(other),
@@ -336,31 +332,30 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // Phase boundary: eliminate audits the partial collapse on exit.
     let eliminated = collapsed.eliminate(&params.eliminate)?;
     collapsed.sweep()?;
-    if effective_jobs(params.jobs) > 1 {
+    let (mut first, second) = if effective_jobs(params.jobs) > 1 {
         let (first, second) = run_candidate_pair(
             || optimize_partitioned(&collapsed, params),
             || optimize_partitioned(&work, params),
         );
-        let (out, mut report) = first?;
-        report.eliminated = eliminated;
-        candidates.push((out, report));
-        candidates.push(second?);
+        (first?, second?)
     } else {
-        let (out, mut report) = optimize_partitioned(&collapsed, params)?;
-        report.eliminated = eliminated;
-        candidates.push((out, report));
-        candidates.push(optimize_partitioned(&work, params)?);
+        (
+            optimize_partitioned(&collapsed, params)?,
+            optimize_partitioned(&work, params)?,
+        )
+    };
+    first.1.eliminated = eliminated;
+    for (out, report) in [first, second] {
+        let area = mapped_area(&out);
+        candidates.push((out, report, area));
     }
 
     // Select by the real objective: mapped cell area under the shared
     // mcnc-style library (literal counts undervalue XOR/MUX cells).
-    let (mut out, mut report) = candidates
+    // `min_by` keeps the first of equal minima.
+    let (mut out, mut report, _) = candidates
         .into_iter()
-        .min_by(|(a, _), (b, _)| {
-            let ca = map_network(a, &lib).map_or(f64::INFINITY, |m| m.area);
-            let cb = map_network(b, &lib).map_or(f64::INFINITY, |m| m.area);
-            ca.total_cmp(&cb)
-        })
+        .min_by(|(_, _, a), (_, _, b)| a.total_cmp(b))
         .ok_or_else(|| NetworkError::Inconsistent {
             detail: "flow portfolio is empty".to_string(),
         })?;
@@ -377,49 +372,24 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
 
 /// Runs two independent flow candidates on scoped worker threads and
 /// returns their results in argument order. Each worker drains its
-/// thread-local trace registry and journal on exit; the coordinator
+/// thread-local trace state into a [`Capture`] on exit; the coordinator
 /// absorbs them in the same fixed order, so the merged trace does not
 /// depend on which candidate finished first.
 fn run_candidate_pair<T: Send>(
     a: impl FnOnce() -> T + Send,
     b: impl FnOnce() -> T + Send,
 ) -> (T, T) {
-    let ((ra, snap_a, journal_a, tl_a, prof_a), (rb, snap_b, journal_b, tl_b, prof_b)) =
-        std::thread::scope(|s| {
-            let ha = s.spawn(move || {
-                let out = a();
-                (
-                    out,
-                    bds_trace::take_snapshot(),
-                    bds_trace::take_journal(),
-                    bds_trace::timeline::take_timeline(),
-                    bds_trace::profile::take_profile(),
-                )
-            });
-            let hb = s.spawn(move || {
-                let out = b();
-                (
-                    out,
-                    bds_trace::take_snapshot(),
-                    bds_trace::take_journal(),
-                    bds_trace::timeline::take_timeline(),
-                    bds_trace::profile::take_profile(),
-                )
-            });
-            let join = |h: std::thread::ScopedJoinHandle<'_, _>| match h.join() {
-                Ok(out) => out,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (join(ha), join(hb))
-        });
-    bds_trace::absorb_snapshot(&snap_a);
-    bds_trace::absorb_journal(journal_a);
-    bds_trace::timeline::absorb_timeline(tl_a);
-    bds_trace::profile::absorb_profile(&prof_a);
-    bds_trace::absorb_snapshot(&snap_b);
-    bds_trace::absorb_journal(journal_b);
-    bds_trace::timeline::absorb_timeline(tl_b);
-    bds_trace::profile::absorb_profile(&prof_b);
+    let ((ra, capture_a), (rb, capture_b)) = std::thread::scope(|s| {
+        let ha = s.spawn(move || (a(), Capture::take()));
+        let hb = s.spawn(move || (b(), Capture::take()));
+        let join = |h: std::thread::ScopedJoinHandle<'_, _>| match h.join() {
+            Ok(out) => out,
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        (join(ha), join(hb))
+    });
+    capture_a.absorb();
+    capture_b.absorb();
     (ra, rb)
 }
 
@@ -432,7 +402,6 @@ pub fn optimize_global(
     net: &Network,
     params: &FlowParams,
 ) -> Result<(Network, FlowReport), NetworkError> {
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let (mgr, edges, var_of) = {
         let _span = bds_trace::span!("flow.build");
         let built = net.global_bdds(params.global_limit)?;
@@ -639,10 +608,6 @@ fn decompose_supernode_bdd(
     sift_limits: SiftLimits,
     fault: Option<(Fault, u64)>,
 ) -> Result<NodeArtifact, NetworkError> {
-    // Timeline samples from this supernode's managers (including sift
-    // scratch managers) are keyed by its signal index; the budget
-    // resets here, so sample bounds are per supernode, not per thread.
-    bds_trace::timeline::set_scope(sig.index() as u64);
     let budget = params.govern.supernode_budget;
     let mut ops = OpStats::default();
     let mut mgr = Manager::new();
@@ -761,45 +726,32 @@ fn record_degrade(sig: SignalId, rung: u8, reason: &'static str) {
 }
 
 /// Runs one rung attempt under panic quarantine. The calling thread's
-/// trace state (span registry, journal, timeline, profile) is put aside first
-/// and reinstated afterwards; on a panic the attempt's own partial
-/// recordings are discarded wholesale, so a panicked supernode leaves
-/// the merged trace exactly as if it had never run — deterministically,
-/// because the discarded delta is precisely the attempt's recordings
-/// and nothing else runs on this thread meanwhile. The panic payload is
-/// converted into [`NetworkError::WorkerPanic`]; the ladder never
-/// degrades past a panic (a panic is a bug or an injected fault, not
-/// back-pressure).
+/// trace state is put aside first and reinstated afterwards; on a panic
+/// the attempt's own partial recordings are discarded wholesale, so a
+/// panicked supernode leaves the merged trace exactly as if it had
+/// never run — deterministically, because the discarded delta is
+/// precisely the attempt's recordings and nothing else runs on this
+/// thread meanwhile. The panic payload is converted into
+/// [`NetworkError::WorkerPanic`]; the ladder never degrades past a
+/// panic (a panic is a bug or an injected fault, not back-pressure).
 fn run_quarantined<T>(
     work: &Network,
     sig: SignalId,
     attempt: impl FnOnce() -> T,
 ) -> Result<T, NetworkError> {
-    let before_spans = bds_trace::take_snapshot_in_flight();
-    let before_journal = bds_trace::take_journal();
-    let before_timeline = bds_trace::timeline::take_timeline();
-    let before_profile = bds_trace::profile::take_profile();
+    let before = Capture::take_in_flight();
     let outcome = catch_unwind(AssertUnwindSafe(attempt));
-    let after_spans = bds_trace::take_snapshot_in_flight();
-    let after_journal = bds_trace::take_journal();
-    let after_timeline = bds_trace::timeline::take_timeline();
-    let after_profile = bds_trace::profile::take_profile();
-    bds_trace::restore_snapshot(&before_spans);
-    bds_trace::absorb_journal(before_journal);
-    bds_trace::timeline::absorb_timeline(before_timeline);
-    bds_trace::profile::restore_profile(&before_profile);
+    let during = Capture::take_in_flight();
+    before.restore();
     match outcome {
         Ok(v) => {
-            bds_trace::restore_snapshot(&after_spans);
-            bds_trace::absorb_journal(after_journal);
-            bds_trace::timeline::absorb_timeline(after_timeline);
-            bds_trace::profile::restore_profile(&after_profile);
+            during.restore();
             Ok(v)
         }
         Err(payload) => {
             // Poison-proofing: the panicked attempt's partial trace
-            // (`after_*`) is dropped, never merged.
-            drop((after_spans, after_journal, after_timeline, after_profile));
+            // (`during`) is dropped, never merged.
+            drop(during);
             let detail = if let Some(s) = payload.downcast_ref::<String>() {
                 s.clone()
             } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -897,10 +849,10 @@ fn decompose_supernode(
 /// Distributes `items` (topo-indexed supernodes) across `jobs` scoped
 /// worker threads and returns the artifacts **in item order**. Workers
 /// claim items from a shared atomic cursor, record trace data into
-/// their own thread-local registries, and drain those registries before
-/// exiting; the coordinator re-absorbs every worker's snapshot and
-/// journal in fixed worker-index order, so the merged trace is the same
-/// regardless of which thread processed which item or finished first.
+/// their own thread-local stores, and drain them into a [`Capture`]
+/// before exiting; the coordinator absorbs every worker's capture in
+/// fixed worker-index order, so the merged trace is the same regardless
+/// of which thread processed which item or finished first.
 ///
 /// On failure the error with the **smallest item index** is returned
 /// (matching what a sequential run would hit first), and remaining
@@ -911,13 +863,7 @@ fn decompose_sharded(
     params: &FlowParams,
     jobs: usize,
 ) -> Result<Vec<NodeArtifact>, NetworkError> {
-    type WorkerOut = (
-        Vec<(usize, Result<NodeArtifact, NetworkError>)>,
-        bds_trace::Snapshot,
-        bds_trace::Journal,
-        bds_trace::timeline::Timeline,
-        bds_trace::profile::Profile,
-    );
+    type WorkerOut = (Vec<(usize, Result<NodeArtifact, NetworkError>)>, Capture);
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let worker_outs: Vec<WorkerOut> = std::thread::scope(|s| {
@@ -943,13 +889,7 @@ fn decompose_sharded(
                     // Hand the thread-local trace state to the
                     // coordinator; a worker that exits without draining
                     // would silently lose its metrics.
-                    (
-                        done,
-                        bds_trace::take_snapshot(),
-                        bds_trace::take_journal(),
-                        bds_trace::timeline::take_timeline(),
-                        bds_trace::profile::take_profile(),
-                    )
+                    (done, Capture::take())
                 })
             })
             .collect();
@@ -965,11 +905,8 @@ fn decompose_sharded(
     let mut slots: Vec<Option<NodeArtifact>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let mut first_err: Option<(usize, NetworkError)> = None;
-    for (done, snapshot, journal, timeline, profile) in worker_outs {
-        bds_trace::absorb_snapshot(&snapshot);
-        bds_trace::absorb_journal(journal);
-        bds_trace::timeline::absorb_timeline(timeline);
-        bds_trace::profile::absorb_profile(&profile);
+    for (done, capture) in worker_outs {
+        capture.absorb();
         for (i, r) in done {
             match r {
                 Ok(artifact) => slots[i] = Some(artifact),
@@ -1051,10 +988,6 @@ pub fn optimize_partitioned(
             })
             .collect::<Result<_, _>>()?
     };
-    // Leave the supernode scope behind: any later BDD work on this
-    // thread samples under the global scope again, exactly as it would
-    // when the supernodes ran on worker threads.
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let mut degraded = 0usize;
     for ((sig, fanins), artifact) in items.iter().zip(artifacts) {
         let sig = *sig;

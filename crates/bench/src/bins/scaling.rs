@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release --bin scaling [> scaling.csv]` — with
 //! `-- --json <path>` the same series is also written as a report. The
-//! trace exports (`--telemetry`, `--perfetto`, `--folded`, `--profile`)
+//! trace exports (`--perfetto`, `--folded`, `--profile`)
 //! share the `table1` code paths, so the scaling sweep can feed the
 //! same tooling. Env: `BDS_SCALING_MAX_NODES` (default 2000) bounds the
 //! sweep.
@@ -15,29 +15,25 @@
 
 use std::process::ExitCode;
 
-use bds::flow::{optimize, FlowParams, FlowReport};
+use bds::flow::{optimize, FlowParams};
 use bds::sis_flow::{script_rugged, SisParams};
 use bds_circuits::adder::ripple_adder;
 use bds_circuits::multiplier::multiplier;
 use bds_circuits::shifter::barrel_shifter;
 use bds_network::Network;
 use bds_trace::json::Json;
-use bds_trace::Stopwatch;
+use bds_trace::{Capture, Stopwatch};
 
-use crate::report::{envelope, finish_observability, parse_args, write_json, ObservedCircuit};
+use crate::report::{envelope, finish_observability, parse_args, write_json};
 
-/// One size point of the sweep: timings for the CSV plus the trace data
-/// drained across the BDS flow, so the shared observability exports see
-/// the same capture shape as the row-based binaries.
+/// One size point of the sweep: timings for the CSV plus the trace
+/// captured across the BDS flow, so the shared observability exports
+/// see the same capture as the row-based binaries.
 struct Point {
     name: String,
     sis: f64,
     bds: f64,
-    report: FlowReport,
-    trace: bds_trace::Snapshot,
-    journal: bds_trace::Journal,
-    timeline: bds_trace::timeline::Timeline,
-    profile: bds_trace::profile::Profile,
+    capture: Capture,
 }
 
 fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, String> {
@@ -48,17 +44,13 @@ fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, S
     // harness: the baseline above never pollutes the capture.
     bds_trace::reset();
     let t1 = Stopwatch::start();
-    let (_, report) = optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
+    optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
     let bds = t1.seconds();
     Ok(Point {
         name,
         sis,
         bds,
-        report,
-        trace: bds_trace::take_snapshot(),
-        journal: bds_trace::take_journal(),
-        timeline: bds_trace::timeline::take_timeline(),
-        profile: bds_trace::profile::take_profile(),
+        capture: Capture::take(),
     })
 }
 
@@ -128,16 +120,9 @@ pub fn main() -> ExitCode {
         }
         eprintln!("scaling: wrote {}", path.display());
     }
-    let observed: Vec<ObservedCircuit<'_>> = points
+    let observed: Vec<(&str, &Capture)> = points
         .iter()
-        .map(|p| ObservedCircuit {
-            name: &p.name,
-            report: &p.report,
-            trace: &p.trace,
-            journal: &p.journal,
-            timeline: &p.timeline,
-            profile: &p.profile,
-        })
+        .map(|p| (p.name.as_str(), &p.capture))
         .collect();
     if finish_observability(&args, "scaling", &observed).is_err() {
         return ExitCode::FAILURE;

@@ -10,7 +10,7 @@ use bds::sis_flow::{script_rugged, SisParams};
 use bds_map::{map_network, Library, MappedNetlist};
 use bds_network::verify::{verify, verify_by_simulation, Verdict};
 use bds_network::Network;
-use bds_trace::{Journal, Snapshot};
+use bds_trace::Capture;
 
 /// Result of one flow on one circuit.
 #[derive(Clone, Debug)]
@@ -50,21 +50,11 @@ pub struct Row {
     /// The BDS flow's full report: mode, decomposition step counts, and
     /// BDD operation counters (computed-table hit rate and friends).
     pub report: FlowReport,
-    /// Trace snapshot captured across the BDS flow alone — per-phase
-    /// wall-clock spans and registry counters. Empty unless the crate is
-    /// built with the `trace` feature.
-    pub trace: Snapshot,
-    /// Flight-recorder journal drained across the same window: the
-    /// time-ordered span boundaries and decision events behind the
-    /// `--perfetto` / `--folded` exports. Empty without `trace`.
-    pub journal: Journal,
-    /// Sampled telemetry timeline drained across the same window (one
-    /// sample per `SAMPLE_INTERVAL` ite calls). Empty without `trace`.
-    pub timeline: bds_trace::timeline::Timeline,
-    /// Deterministic profile drained across the same window (one sample
-    /// per `PROFILE_INTERVAL` effort ticks, keyed by open-span path and
-    /// op class). Empty without `trace`.
-    pub profile: bds_trace::profile::Profile,
+    /// Trace captured across the BDS flow alone: per-phase wall-clock
+    /// spans and registry counters, the flight-recorder journal behind
+    /// the `--perfetto` export, and the effort-tick profile behind
+    /// `--profile`. Empty unless built with the `trace` feature.
+    pub capture: Capture,
 }
 
 fn mapped(net: &Network, lib: &Library) -> MappedNetlist {
@@ -101,16 +91,11 @@ pub fn run_both(
     // above and verification below stays outside the window).
     bds_trace::reset();
     let (bds_net, bds_report) = optimize(net, flow_params).expect("bds flow");
-    let trace = bds_trace::take_snapshot();
-    // Drained after the snapshot: journal timestamps share one epoch
-    // across circuits, so stitched exports stay globally ordered.
-    let journal = bds_trace::take_journal();
     // Taken before verification: the verifier's BDD traffic must not
-    // pollute the flow's timeline.
-    let timeline = bds_trace::timeline::take_timeline();
-    // Same window as the timeline: effort-tick samples from the flow
-    // only, so profiles are byte-identical at any `jobs` count.
-    let profile = bds_trace::profile::take_profile();
+    // pollute the flow's profile, which stays byte-identical at any
+    // `jobs` count. Journal timestamps share one epoch across circuits,
+    // so stitched exports stay globally ordered.
+    let capture = Capture::take();
     let bds_mapped = mapped(&bds_net, &lib);
     let bds_stats = bds_net.stats();
 
@@ -151,10 +136,7 @@ pub fn run_both(
         speedup,
         verified,
         report: bds_report,
-        trace,
-        journal,
-        timeline,
-        profile,
+        capture,
     }
 }
 

@@ -14,16 +14,14 @@
 //! ```
 //!
 //! Comparison rows ([`Row`]) serialize their flow report — decomposition
-//! step counts, BDD operation counters with the computed-table hit rate —
-//! plus the [`bds_trace::Snapshot`] captured across the BDS flow, whose
-//! span section carries the per-phase wall times when the `trace` feature
-//! is on. The `summary --compare` mode reads these files back through
-//! [`bds_trace::json::parse`]; no serde anywhere.
+//! step counts, BDD operation counters with the computed-table hit rate,
+//! and a `telemetry` object with the gated engine metrics (cache hit
+//! rate, peak arena bytes, peak unique-table load) — plus the
+//! [`bds_trace::Snapshot`] captured across the BDS flow, whose span
+//! section carries the per-phase wall times when the `trace` feature is
+//! on. The `summary --compare` mode and `cargo xtask perfgate` read these
+//! files back through [`bds_trace::json::parse`]; no serde anywhere.
 //!
-//! `--telemetry <path>` additionally writes a `bds-telemetry/v1`
-//! document: per-circuit gated metrics (cache hit rate, peak arena
-//! bytes, peak unique-table load) plus the sampled timeline, the file
-//! `cargo xtask perfgate` diffs against `results/TELEMETRY.json`.
 //! `--live` streams a one-line summary per circuit to stderr.
 
 // lint:allow-file(print): CLI usage errors and trace trees go to the console by design
@@ -32,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bds_trace::json::Json;
-use bds_trace::Snapshot;
+use bds_trace::{Capture, Snapshot};
 
 use crate::harness::Row;
 
@@ -59,10 +57,6 @@ pub struct BenchArgs {
     /// core). `None` keeps [`bds::flow::FlowParams`]'s default, which
     /// honors the `BDS_FLOW_JOBS` environment variable.
     pub jobs: Option<usize>,
-    /// Write a `bds-telemetry/v1` JSON document here: per-circuit gated
-    /// metrics (cache hit rate, peak arena bytes, peak unique-table
-    /// load) plus the sampled timeline.
-    pub telemetry: Option<PathBuf>,
     /// Print a one-line progress summary per circuit to stderr as rows
     /// finish, so long runs show a heartbeat.
     pub live: bool,
@@ -125,10 +119,6 @@ pub fn parse_args(bench: &str, accept_compare: bool) -> Result<BenchArgs, ExitCo
                 Some(jobs) => out.jobs = Some(jobs),
                 None => return Err(usage(bench, accept_compare, "--jobs needs a count")),
             },
-            "--telemetry" => match args.next() {
-                Some(path) => out.telemetry = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--telemetry needs a path")),
-            },
             "--live" => out.live = true,
             other => {
                 return Err(usage(
@@ -151,7 +141,7 @@ fn usage(bench: &str, accept_compare: bool, problem: &str) -> ExitCode {
     };
     eprintln!(
         "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--perfetto <path>] \
-         [--folded <path>] [--profile <path>] [--telemetry <path>] [--live]{compare}"
+         [--folded <path>] [--profile <path>] [--live]{compare}"
     );
     ExitCode::from(2)
 }
@@ -182,9 +172,9 @@ fn flow_result_json(r: &crate::harness::FlowResult) -> Json {
     ])
 }
 
-/// The gated telemetry metrics from one flow report, in the shape
-/// [`bds_trace::gate::compare_telemetry`] reads: cache hit rate (may
-/// not drop), peak arena bytes and peak unique-table load (may not
+/// The gated engine metrics from one flow report, embedded in each
+/// report row for [`bds_trace::gate::compare_reports`]: cache hit rate
+/// (may not drop), peak arena bytes and peak unique-table load (may not
 /// grow). All three are deterministic across `--jobs` settings.
 #[must_use]
 pub fn telemetry_metrics(report: &bds::flow::FlowReport) -> Json {
@@ -199,75 +189,6 @@ pub fn telemetry_metrics(report: &bds::flow::FlowReport) -> Json {
             "peak_unique_load".into(),
             Json::Num(report.peak_unique_load),
         ),
-    ])
-}
-
-/// The gated telemetry metrics for one row (see [`telemetry_metrics`]).
-#[must_use]
-pub fn telemetry_json(row: &Row) -> Json {
-    telemetry_metrics(&row.report)
-}
-
-/// Everything one circuit contributes to the observability exports,
-/// borrowed from whatever the binary keeps per circuit. [`Row`]-based
-/// binaries get one via [`ObservedCircuit::from_row`]; `scaling` builds
-/// them from its own captures so every bench shares the same
-/// `--telemetry` / `--perfetto` / `--folded` / `--profile` code paths.
-pub struct ObservedCircuit<'a> {
-    /// Circuit label used in export prefixes and telemetry entries.
-    pub name: &'a str,
-    /// The BDS flow report carrying the gated telemetry metrics.
-    pub report: &'a bds::flow::FlowReport,
-    /// Span tree + counters captured across the BDS flow.
-    pub trace: &'a Snapshot,
-    /// Flight-recorder journal drained across the same window.
-    pub journal: &'a bds_trace::Journal,
-    /// Sampled telemetry timeline drained across the same window.
-    pub timeline: &'a bds_trace::timeline::Timeline,
-    /// Deterministic effort-tick profile drained across the same window.
-    pub profile: &'a bds_trace::profile::Profile,
-}
-
-impl<'a> ObservedCircuit<'a> {
-    /// Borrows the observability capture out of a comparison row.
-    #[must_use]
-    pub fn from_row(row: &'a Row) -> Self {
-        ObservedCircuit {
-            name: &row.name,
-            report: &row.report,
-            trace: &row.trace,
-            journal: &row.journal,
-            timeline: &row.timeline,
-            profile: &row.profile,
-        }
-    }
-}
-
-/// Wraps per-circuit telemetry entries in the `bds-telemetry/v1`
-/// envelope: each circuit carries its gated metrics plus the sampled
-/// timeline. Structural timeline fields are identical at any `--jobs`
-/// setting; only `wall_ns` values move.
-#[must_use]
-pub fn telemetry_envelope(bench: &str, jobs: usize, circuits: &[ObservedCircuit<'_>]) -> Json {
-    let circuits = circuits
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(c.name.into())),
-                ("telemetry".into(), telemetry_metrics(c.report)),
-                ("timeline".into(), c.timeline.to_json()),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "schema".into(),
-            Json::Str(bds_trace::gate::TELEMETRY_SCHEMA.into()),
-        ),
-        ("bench".into(), Json::Str(bench.into())),
-        ("trace_enabled".into(), Json::Bool(bds_trace::is_enabled())),
-        ("jobs".into(), Json::Int(jobs as u64)),
-        ("circuits".into(), Json::Arr(circuits)),
     ])
 }
 
@@ -307,10 +228,10 @@ pub fn row_json(row: &Row) -> Json {
         ("bds".into(), flow_result_json(&row.bds)),
         ("decompose".into(), decompose),
         ("bdd_ops".into(), bdd_ops),
-        // Embedded copy of the gated telemetry metrics so plain report
-        // comparisons (`summary --compare`, perfgate) gate them too.
-        ("telemetry".into(), telemetry_json(row)),
-        ("trace".into(), row.trace.to_json()),
+        // The gated engine metrics: `summary --compare` and perfgate
+        // check them with the rest of the row.
+        ("telemetry".into(), telemetry_metrics(&row.report)),
+        ("trace".into(), row.capture.snapshot.to_json()),
     ])
 }
 
@@ -335,7 +256,7 @@ pub fn write_json(path: &Path, doc: &Json) -> std::io::Result<()> {
 pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), ExitCode> {
     if args.trace_tree {
         for row in rows {
-            print_trace_tree(&row.name, &row.trace);
+            print_trace_tree(&row.name, &row.capture.snapshot);
         }
     }
     if let Some(path) = &args.json {
@@ -350,34 +271,25 @@ pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), Ex
         }
         eprintln!("{bench}: wrote {}", path.display());
     }
-    let observed: Vec<ObservedCircuit<'_>> = rows.iter().map(ObservedCircuit::from_row).collect();
+    let observed: Vec<(&str, &Capture)> = rows
+        .iter()
+        .map(|row| (row.name.as_str(), &row.capture))
+        .collect();
     finish_observability(args, bench, &observed)
 }
 
-/// Writes the trace-derived exports — `--telemetry`, `--perfetto`,
-/// `--folded`, `--profile` — for any bench that captured per-circuit
-/// observability, whether or not it uses comparison rows.
+/// Writes the trace-derived exports — `--perfetto`, `--folded`,
+/// `--profile` — from each circuit's `(name, capture)`, for any bench
+/// that captured per-circuit observability, whether or not it uses
+/// comparison rows.
 ///
 /// # Errors
 /// Returns a nonzero [`ExitCode`] when an export file cannot be written.
 pub fn finish_observability(
     args: &BenchArgs,
     bench: &str,
-    circuits: &[ObservedCircuit<'_>],
+    circuits: &[(&str, &Capture)],
 ) -> Result<(), ExitCode> {
-    if let Some(path) = &args.telemetry {
-        if !bds_trace::is_enabled() {
-            eprintln!(
-                "{bench}: note: --telemetry without --features trace records an empty timeline"
-            );
-        }
-        let doc = telemetry_envelope(bench, args.effective_jobs(), circuits);
-        if let Err(err) = write_json(path, &doc) {
-            eprintln!("{bench}: cannot write {}: {err}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("{bench}: wrote {}", path.display());
-    }
     if let Some(path) = &args.perfetto {
         if !bds_trace::is_enabled() {
             eprintln!("{bench}: note: --perfetto without --features trace records no events");
@@ -385,8 +297,8 @@ pub fn finish_observability(
         // Stitch the per-circuit journals into one timeline; drains share
         // a per-thread epoch, so timestamps are already globally ordered.
         let mut stitched = bds_trace::Journal::default();
-        for c in circuits {
-            stitched.extend(c.journal.clone());
+        for (_, capture) in circuits {
+            stitched.extend(capture.journal.clone());
         }
         if stitched.dropped > 0 {
             eprintln!(
@@ -406,8 +318,8 @@ pub fn finish_observability(
             eprintln!("{bench}: note: --folded without --features trace records no spans");
         }
         let mut folded = String::new();
-        for c in circuits {
-            folded.push_str(&bds_trace::export::folded_stacks(c.trace, c.name));
+        for (name, capture) in circuits {
+            folded.push_str(&bds_trace::export::folded_stacks(&capture.snapshot, name));
         }
         if let Err(err) = std::fs::write(path, &folded) {
             eprintln!("{bench}: cannot write {}: {err}", path.display());
@@ -420,8 +332,8 @@ pub fn finish_observability(
             eprintln!("{bench}: note: --profile without --features trace records no samples");
         }
         let mut folded = String::new();
-        for c in circuits {
-            folded.push_str(&c.profile.folded(c.name));
+        for (name, capture) in circuits {
+            folded.push_str(&capture.profile.folded(name));
         }
         if let Err(err) = std::fs::write(path, &folded) {
             eprintln!("{bench}: cannot write {}: {err}", path.display());
@@ -472,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_envelope_round_trips_and_gates_against_itself() {
+    fn row_json_embeds_telemetry_that_gates_against_itself() {
         let net = bds_circuits::adder::ripple_adder(4);
         let row = crate::harness::run_both(
             "add4",
@@ -481,25 +393,19 @@ mod tests {
             &bds::flow::FlowParams::default(),
             &bds::sis_flow::SisParams::default(),
         );
-        let doc = telemetry_envelope("t", 1, &[ObservedCircuit::from_row(&row)]);
+        let doc = envelope("t", 1, vec![row_json(&row)]);
         let back = parse(&doc.render()).expect("parses");
-        assert_eq!(
-            back.get("schema").and_then(Json::as_str),
-            Some(bds_trace::gate::TELEMETRY_SCHEMA)
-        );
         let telemetry = back.get("circuits").and_then(Json::as_arr).expect("array")[0]
             .get("telemetry")
             .expect("telemetry object");
         for metric in ["cache_hit_rate", "peak_arena_bytes", "peak_unique_load"] {
             assert!(telemetry.get(metric).and_then(Json::as_f64).is_some());
         }
-        let outcome = bds_trace::gate::compare_telemetry(&back, &back).expect("gates");
+        let outcome =
+            bds_trace::gate::compare_reports(&back, &back, &bds_trace::gate::Thresholds::default())
+                .expect("gates");
         assert!(outcome.passed());
         assert_eq!(outcome.matched, 1);
-        // The same metrics are embedded in the plain report row, so the
-        // report gate sees them too.
-        let row_doc = row_json(&row);
-        assert!(row_doc.get("telemetry").is_some());
     }
 
     #[test]

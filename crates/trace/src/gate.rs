@@ -12,7 +12,11 @@
 //! * **wall time** (`seconds`) is noisy: it only regresses when the
 //!   fresh value exceeds the baseline by more than a relative percentage
 //!   *plus* an absolute floor (see [`Thresholds`]), so scheduler jitter
-//!   on sub-100ms circuits cannot fail a build.
+//!   on sub-100ms circuits cannot fail a build;
+//! * **engine telemetry** embedded in each row (`telemetry`: cache hit
+//!   rate, peak arena bytes, peak unique-table load) is deterministic:
+//!   the hit rate may not drop and the peaks may not grow, with only a
+//!   float round-tripping epsilon on the two ratios.
 //!
 //! The gate never fails on *missing* circuits — a baseline from a
 //! different bench simply matches nothing — but front ends that require
@@ -22,9 +26,6 @@ use crate::json::Json;
 
 /// Report schema accepted by [`compare_reports`].
 pub const REPORT_SCHEMA: &str = "bds-trace-report/v1";
-
-/// Telemetry schema accepted by [`compare_telemetry`].
-pub const TELEMETRY_SCHEMA: &str = "bds-telemetry/v1";
 
 /// Environment variable overriding the wall-time allowance, read by
 /// [`Thresholds::from_env`]. Format `PCT` or `PCT+FLOOR` (e.g. `150` or
@@ -280,50 +281,6 @@ fn gate_telemetry(name: &str, base: &Json, fresh: &Json, outcome: &mut GateOutco
     }
 }
 
-/// Gates a fresh `bds-telemetry/v1` document against a baseline one:
-/// circuits are matched by name and their `telemetry` objects compared
-/// with the same rules `compare_reports` applies to embedded telemetry
-/// (hit rate may not drop; peaks may not grow).
-///
-/// # Errors
-/// Returns a description when either document is not a
-/// `bds-telemetry/v1` report with a `circuits` array.
-pub fn compare_telemetry(baseline: &Json, current: &Json) -> Result<GateOutcome, String> {
-    for (doc, which) in [(baseline, "baseline"), (current, "current")] {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(TELEMETRY_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "{which} telemetry has unsupported schema {other:?}"
-                ))
-            }
-        }
-    }
-    let current_circuits = current
-        .get("circuits")
-        .and_then(Json::as_arr)
-        .ok_or("current telemetry has no circuits array")?;
-    baseline
-        .get("circuits")
-        .and_then(Json::as_arr)
-        .ok_or("baseline telemetry has no circuits array")?;
-
-    let mut outcome = GateOutcome::default();
-    for fresh in current_circuits {
-        let Some(name) = fresh.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(base) = find_circuit(baseline, name) else {
-            continue;
-        };
-        outcome.matched += 1;
-        if let (Some(bt), Some(ct)) = (base.get("telemetry"), fresh.get("telemetry")) {
-            gate_telemetry(name, bt, ct, &mut outcome);
-        }
-    }
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,99 +400,78 @@ mod tests {
         assert_eq!(Thresholds::parse("inf"), None);
     }
 
-    fn telemetry_obj(hit_rate: f64, bytes: u64, load: f64) -> Json {
-        Json::Obj(vec![
-            ("cache_hit_rate".into(), Json::Num(hit_rate)),
-            ("peak_arena_bytes".into(), Json::Int(bytes)),
-            ("peak_unique_load".into(), Json::Num(load)),
-        ])
+    /// A one-circuit report (`a`, fixed BDS metrics) whose row embeds
+    /// a telemetry object, as `row_json` writes it.
+    fn telemetry_report(hit_rate: f64, bytes: u64, load: f64) -> Json {
+        let Json::Obj(mut fields) = report(&[("a", 10, 20, 30, 0.05)]) else {
+            unreachable!()
+        };
+        for (k, v) in &mut fields {
+            if k == "circuits" {
+                let Json::Arr(circuits) = v else {
+                    unreachable!()
+                };
+                for c in circuits {
+                    let Json::Obj(cf) = c else { unreachable!() };
+                    cf.push((
+                        "telemetry".into(),
+                        Json::Obj(vec![
+                            ("cache_hit_rate".into(), Json::Num(hit_rate)),
+                            ("peak_arena_bytes".into(), Json::Int(bytes)),
+                            ("peak_unique_load".into(), Json::Num(load)),
+                        ]),
+                    ));
+                }
+            }
+        }
+        Json::Obj(fields)
     }
 
-    fn telemetry_doc(rows: &[(&str, f64, u64, f64)]) -> Json {
-        let circuits = rows
-            .iter()
-            .map(|&(name, hit, bytes, load)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(name.into())),
-                    ("telemetry".into(), telemetry_obj(hit, bytes, load)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(TELEMETRY_SCHEMA.into())),
-            ("circuits".into(), Json::Arr(circuits)),
-        ])
+    fn gate(base: &Json, fresh: &Json) -> GateOutcome {
+        compare_reports(base, fresh, &Thresholds::default()).unwrap()
     }
 
     #[test]
     fn telemetry_gate_directions() {
-        let base = telemetry_doc(&[("a", 0.40, 1000, 0.50)]);
+        let base = telemetry_report(0.40, 1000, 0.50);
         // Identical passes.
-        let outcome = compare_telemetry(&base, &base).unwrap();
+        let outcome = gate(&base, &base);
         assert!(outcome.passed());
         assert_eq!(outcome.matched, 1);
         // Hit rate dropping fails; peaks growing fail.
-        let worse = telemetry_doc(&[("a", 0.35, 1200, 0.60)]);
-        let outcome = compare_telemetry(&base, &worse).unwrap();
-        assert_eq!(outcome.regressions.len(), 3);
+        let worse = telemetry_report(0.35, 1200, 0.60);
+        let outcome = gate(&base, &worse);
         let metrics: Vec<&str> = outcome.regressions.iter().map(|r| r.metric).collect();
         assert_eq!(
             metrics,
             vec!["cache_hit_rate", "peak_arena_bytes", "peak_unique_load"]
         );
         // Hit rate up, peaks down: improvements, not failures.
-        let better = telemetry_doc(&[("a", 0.45, 900, 0.40)]);
-        let outcome = compare_telemetry(&base, &better).unwrap();
+        let better = telemetry_report(0.45, 900, 0.40);
+        let outcome = gate(&base, &better);
         assert!(outcome.passed());
         assert_eq!(outcome.improved, 3);
     }
 
     #[test]
     fn telemetry_float_epsilon_absorbs_round_tripping() {
-        let base = telemetry_doc(&[("a", 0.40, 1000, 0.50)]);
-        let jitter = telemetry_doc(&[("a", 0.40 - 1e-9, 1000, 0.50 + 1e-9)]);
-        assert!(compare_telemetry(&base, &jitter).unwrap().passed());
+        let base = telemetry_report(0.40, 1000, 0.50);
+        let jitter = telemetry_report(0.40 - 1e-9, 1000, 0.50 + 1e-9);
+        assert!(gate(&base, &jitter).passed());
         // But bytes are exact: one extra byte fails.
-        let bloat = telemetry_doc(&[("a", 0.40, 1001, 0.50)]);
-        assert!(!compare_telemetry(&base, &bloat).unwrap().passed());
+        let bloat = telemetry_report(0.40, 1001, 0.50);
+        assert!(!gate(&base, &bloat).passed());
     }
 
     #[test]
     fn embedded_telemetry_rides_the_report_gate() {
-        let attach = |doc: Json, hit: f64| {
-            let Json::Obj(mut fields) = doc else {
-                unreachable!()
-            };
-            for (k, v) in &mut fields {
-                if k == "circuits" {
-                    let Json::Arr(circuits) = v else {
-                        unreachable!()
-                    };
-                    for c in circuits {
-                        let Json::Obj(cf) = c else { unreachable!() };
-                        cf.push(("telemetry".into(), telemetry_obj(hit, 1000, 0.5)));
-                    }
-                }
-            }
-            Json::Obj(fields)
-        };
-        let base = attach(report(&[("a", 10, 20, 30, 0.05)]), 0.40);
-        let fresh = attach(report(&[("a", 10, 20, 30, 0.05)]), 0.30);
-        let outcome = compare_reports(&base, &fresh, &Thresholds::default()).unwrap();
+        let base = telemetry_report(0.40, 1000, 0.5);
+        let fresh = telemetry_report(0.30, 1000, 0.5);
+        let outcome = gate(&base, &fresh);
         assert_eq!(outcome.regressions.len(), 1);
         assert_eq!(outcome.regressions[0].metric, "cache_hit_rate");
         // A baseline without the object skips the telemetry checks.
         let old_base = report(&[("a", 10, 20, 30, 0.05)]);
-        assert!(compare_reports(&old_base, &fresh, &Thresholds::default())
-            .unwrap()
-            .passed());
-    }
-
-    #[test]
-    fn telemetry_wrong_schema_is_rejected() {
-        let good = telemetry_doc(&[]);
-        let bad = report(&[]);
-        assert!(compare_telemetry(&bad, &good).is_err());
-        assert!(compare_telemetry(&good, &bad).is_err());
+        assert!(gate(&old_base, &fresh).passed());
     }
 }

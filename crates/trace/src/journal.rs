@@ -123,7 +123,7 @@ pub struct Event {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-/// A drained copy of the thread's journal, returned by [`take_journal`].
+/// A drained copy of a thread's journal, carried by [`crate::Capture`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Journal {
     /// Events in recording order (oldest first).
@@ -250,9 +250,8 @@ pub fn journal_len() -> usize {
 
 /// Drains this thread's journal: returns all buffered events (oldest
 /// first) plus the eviction count, and leaves an empty ring with the
-/// same capacity and epoch.
-#[must_use]
-pub fn take_journal() -> Journal {
+/// same capacity and epoch. Reached through [`crate::Capture`].
+pub(crate) fn take_journal() -> Journal {
     with(|r| {
         let journal = Journal {
             events: r.events.drain(..).collect(),
@@ -264,14 +263,15 @@ pub fn take_journal() -> Journal {
     })
 }
 
-/// Re-injects a drained worker [`Journal`] into **this thread's** ring,
-/// preserving each event's original thread id and timestamp (the ring's
-/// own clock and thread id are not re-stamped). The ring's capacity
-/// still applies: absorbed events evict the oldest entries when the ring
-/// is full, and `other.dropped` carries over. The sharded flow uses this
-/// so a single [`take_journal`] on the coordinating thread yields the
-/// complete multi-thread flight recording.
-pub fn absorb_journal(other: Journal) {
+/// Appends a drained [`Journal`] to **this thread's** ring, preserving
+/// each event's original thread id and timestamp (the ring's own clock
+/// and thread id are not re-stamped). The ring's capacity still
+/// applies: appended events evict the oldest entries when the ring is
+/// full, and `other.dropped` carries over. Worker journals and a
+/// journal put aside by the quarantine come back this way, so one
+/// drain on the coordinating thread yields the complete multi-thread
+/// flight recording.
+pub(crate) fn append_journal(other: Journal) {
     with(|r| {
         r.dropped += other.dropped;
         for event in other.events {
@@ -290,7 +290,7 @@ pub fn absorb_journal(other: Journal) {
 
 /// Clears this thread's journal without returning it. The epoch and
 /// capacity are preserved so timestamps stay globally ordered.
-pub fn clear_journal() {
+pub(crate) fn clear_journal() {
     with(|r| {
         r.events.clear();
         r.dropped = 0;
@@ -415,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_preserves_thread_ids_and_counts_drops() {
+    fn append_preserves_thread_ids_and_counts_drops() {
         clear_journal();
         let worker = std::thread::spawn(|| {
             record_event("remote", vec![("i", FieldValue::U64(7))]);
@@ -425,7 +425,7 @@ mod tests {
         .expect("worker panicked");
         let remote_thread = worker.events[0].thread;
         record_event("local", Vec::new());
-        absorb_journal(worker);
+        append_journal(worker);
         let j = take_journal();
         assert_eq!(j.events.len(), 2);
         assert_eq!(j.events[0].name, "local");
@@ -436,7 +436,7 @@ mod tests {
         // Absorbing into a full ring evicts the oldest and counts drops.
         set_journal_capacity(1);
         record_event("old", Vec::new());
-        absorb_journal(Journal {
+        append_journal(Journal {
             events: vec![Event {
                 ts_ns: 0,
                 thread: remote_thread,

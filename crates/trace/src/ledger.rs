@@ -52,19 +52,14 @@ pub struct LedgerEntry {
 
 impl LedgerEntry {
     /// Condenses a `bds-trace-report/v1` document into one ledger row.
-    /// Telemetry fields fall back to `telemetry_doc` (a
-    /// `bds-telemetry/v1` document, matched by circuit name) for
-    /// circuits whose report rows do not embed a telemetry object.
+    /// Telemetry fields come from each row's embedded `telemetry`
+    /// object; rows without one leave them at their neutral values.
     ///
     /// # Errors
     /// Returns a description when `report` is not a
     /// `bds-trace-report/v1` document with a non-empty `circuits`
     /// array.
-    pub fn from_report(
-        report: &Json,
-        telemetry_doc: Option<&Json>,
-        commit: &str,
-    ) -> Result<LedgerEntry, String> {
+    pub fn from_report(report: &Json, commit: &str) -> Result<LedgerEntry, String> {
         match report.get("schema").and_then(Json::as_str) {
             Some(crate::gate::REPORT_SCHEMA) => {}
             other => return Err(format!("report has unsupported schema {other:?}")),
@@ -108,18 +103,7 @@ impl LedgerEntry {
                     speedups += 1;
                 }
             }
-            // Telemetry: embedded copy preferred, standalone doc as
-            // fallback (older reports without embedding).
-            let telemetry = c.get("telemetry").or_else(|| {
-                let name = c.get("name").and_then(Json::as_str)?;
-                telemetry_doc?
-                    .get("circuits")?
-                    .as_arr()?
-                    .iter()
-                    .find(|t| t.get("name").and_then(Json::as_str) == Some(name))?
-                    .get("telemetry")
-            });
-            if let Some(t) = telemetry {
+            if let Some(t) = c.get("telemetry") {
                 if let Some(v) = t.get("cache_hit_rate").and_then(Json::as_f64) {
                     entry.cache_hit_rate = entry.cache_hit_rate.min(v);
                 }
@@ -342,7 +326,7 @@ mod tests {
 
     #[test]
     fn from_report_condenses_totals_and_worst_telemetry() {
-        let e = LedgerEntry::from_report(&report(), None, "abc1234").unwrap();
+        let e = LedgerEntry::from_report(&report(), "abc1234").unwrap();
         assert_eq!((e.commit.as_str(), e.jobs, e.circuits), ("abc1234", 4, 2));
         assert_eq!((e.gates, e.literals, e.mem_proxy), (30, 90, 60));
         assert!((e.seconds - 2.0).abs() < 1e-12);
@@ -368,7 +352,7 @@ mod tests {
         let err = parse_ledger(&text).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         // Wrong schema is caught too.
-        let alien = "{\"schema\": \"bds-telemetry/v1\"}";
+        let alien = "{\"schema\": \"bds-trace-report/v1\"}";
         let err = parse_ledger(alien).unwrap_err();
         assert!(err.contains("unsupported ledger schema"), "{err}");
         // Blank lines are fine.
@@ -395,56 +379,11 @@ mod tests {
     #[test]
     fn from_report_rejects_alien_or_empty_reports() {
         let bad = Json::Obj(vec![("schema".into(), Json::Str("nope/v9".into()))]);
-        assert!(LedgerEntry::from_report(&bad, None, "x").is_err());
+        assert!(LedgerEntry::from_report(&bad, "x").is_err());
         let empty = Json::Obj(vec![
             ("schema".into(), Json::Str(REPORT_SCHEMA.into())),
             ("circuits".into(), Json::Arr(vec![])),
         ]);
-        assert!(LedgerEntry::from_report(&empty, None, "x").is_err());
-    }
-
-    #[test]
-    fn telemetry_doc_fallback_matches_by_name() {
-        // Strip embedded telemetry from the report…
-        let doc = report();
-        let Json::Obj(mut fields) = doc else {
-            unreachable!()
-        };
-        for (k, v) in &mut fields {
-            if k == "circuits" {
-                let Json::Arr(circuits) = v else {
-                    unreachable!()
-                };
-                for c in circuits {
-                    let Json::Obj(cf) = c else { unreachable!() };
-                    cf.retain(|(k, _)| k != "telemetry");
-                }
-            }
-        }
-        let stripped = Json::Obj(fields);
-        let no_telem = LedgerEntry::from_report(&stripped, None, "x").unwrap();
-        assert_eq!(no_telem.peak_arena_bytes, 0);
-        // …and supply it via the standalone telemetry document.
-        let telem = Json::Obj(vec![
-            ("schema".into(), Json::Str("bds-telemetry/v1".into())),
-            (
-                "circuits".into(),
-                Json::Arr(vec![Json::Obj(vec![
-                    ("name".into(), Json::Str("b".into())),
-                    (
-                        "telemetry".into(),
-                        Json::Obj(vec![
-                            ("cache_hit_rate".into(), Json::Num(0.25)),
-                            ("peak_arena_bytes".into(), Json::Int(999)),
-                            ("peak_unique_load".into(), Json::Num(0.75)),
-                        ]),
-                    ),
-                ])]),
-            ),
-        ]);
-        let e = LedgerEntry::from_report(&stripped, Some(&telem), "x").unwrap();
-        assert_eq!(e.peak_arena_bytes, 999);
-        assert!((e.cache_hit_rate - 0.25).abs() < 1e-12);
-        assert!((e.peak_unique_load - 0.75).abs() < 1e-12);
+        assert!(LedgerEntry::from_report(&empty, "x").is_err());
     }
 }

@@ -14,7 +14,7 @@
 //!   `(parent, name)`;
 //! * a **flight recorder** ([`journal`]) — a bounded ring buffer of
 //!   time-ordered structured events (`event!` marks plus every span
-//!   enter/exit), drained by [`take_journal`] and exported by
+//!   enter/exit), drained in a [`Capture`] and exported by
 //!   [`export::perfetto_trace`] (Chrome/Perfetto trace-event JSON) and
 //!   [`export::folded_stacks`] (flamegraph folded-stack text);
 //! * **sinks** — [`Snapshot::render_tree`] for humans and
@@ -42,26 +42,33 @@
 //!
 //! # Thread locality and the parallel drain protocol
 //!
-//! The registry and the journal are **thread-local**: each thread
-//! accumulates into its own instance, so the hot path takes no locks and
-//! parallel tests cannot contaminate each other. The flip side is that
-//! [`take_snapshot`] and [`take_journal`] only see the calling thread's
-//! data — metrics recorded on sibling threads are **silently absent**
-//! from the result, not merged. Parallel phases (the sharded BDS flow's
-//! worker threads) bridge the gap with the explicit drain/merge API:
+//! The registry, the journal and the profile are **thread-local**: each
+//! thread accumulates into its own instances, so the hot path takes no
+//! locks and parallel tests cannot contaminate each other. The flip side
+//! is that a drain only sees the calling thread's data — metrics
+//! recorded on sibling threads are **silently absent** from the result,
+//! not merged. One value, [`Capture`], carries all three channels across
+//! thread boundaries, so there is one protocol rather than one per
+//! channel:
 //!
-//! 1. each worker drains its own thread with [`take_snapshot`] /
-//!    [`drain_into`] and [`take_journal`] before it exits,
-//! 2. the coordinating thread folds the results back — in a **fixed
-//!    worker order**, so the merged output is deterministic regardless
-//!    of completion order — with [`Snapshot::merge`] /
-//!    [`Journal::merge_by_time`], or re-injects them into its own live
-//!    registry and ring with [`absorb_snapshot`] / [`absorb_journal`]
-//!    (worker spans graft under the coordinator's open span; journal
-//!    events keep their original thread ids and timestamps).
+//! 1. each worker drains its own thread with [`Capture::take`] before
+//!    it exits;
+//! 2. the coordinating thread re-injects the captures into its own live
+//!    state with [`Capture::absorb`], in a **fixed worker order**, so
+//!    the merged output is deterministic regardless of completion
+//!    order. Worker spans and profile stacks graft under the
+//!    coordinator's open span; journal events keep their original
+//!    thread ids and timestamps.
 //!
-//! Counters sum, gauges keep the maximum (every gauge here is a peak),
-//! histograms add bucket-wise, and span trees merge by `(parent, name)`.
+//! The flow's panic quarantine uses the other pair on one thread:
+//! [`Capture::take_in_flight`] puts the state aside while spans are
+//! open, and [`Capture::restore`] reinstates it verbatim, so a panicked
+//! attempt's partial recordings can be dropped wholesale.
+//!
+//! Counters sum, gauges keep the maximum (every gauge is a peak),
+//! histograms add bucket-wise, span trees merge by `(parent, name)` and
+//! profile stacks by path. Detached snapshots combine with
+//! [`Snapshot::merge`] and journals with [`Journal::merge_by_time`].
 //!
 //! # Example
 //!
@@ -83,6 +90,7 @@
 
 /// Perf attribution: span-level blame for report regressions.
 pub mod attr;
+mod capture;
 /// Trace exporters: Perfetto trace-event JSON and folded flamegraph text.
 pub mod export;
 /// Perf-regression gate: threshold comparison of two report files.
@@ -98,28 +106,26 @@ mod macros;
 pub mod profile;
 mod registry;
 mod span;
-/// Sampled telemetry timeline: deterministic periodic gauge samples.
-pub mod timeline;
 
+pub use capture::Capture;
 pub use journal::{
-    absorb_journal, clear_journal, journal_len, record_event, set_journal_capacity, take_journal,
-    Event, EventKind, FieldValue, Journal, DEFAULT_JOURNAL_CAPACITY,
+    journal_len, record_event, set_journal_capacity, Event, EventKind, FieldValue, Journal,
+    DEFAULT_JOURNAL_CAPACITY,
 };
 pub use registry::{
-    absorb_snapshot, add_counter, counter_value, drain_into, record_histogram, restore_snapshot,
-    set_gauge, span_depth, take_snapshot, take_snapshot_in_flight, Histogram, Snapshot, SpanSnap,
+    add_counter, counter_value, record_histogram, set_gauge, span_depth, take_snapshot, Histogram,
+    Snapshot, SpanSnap,
 };
 pub use span::{fmt_duration_ns, span_enter, NoopSpan, SpanGuard, Stopwatch};
 
-/// Clears every metric on this thread — registry (counters, gauges,
-/// histograms, spans), journal events, timeline samples and profiler
+/// Clears every channel a [`Capture`] carries on this thread — registry
+/// (counters, gauges, histograms, spans), journal events and profiler
 /// samples alike. The journal's timestamp epoch and ring capacity
 /// survive, so events recorded after a reset still share one ordered
 /// timeline with earlier drains.
 pub fn reset() {
     registry::reset();
     journal::clear_journal();
-    timeline::clear_timeline();
     profile::clear_profile();
 }
 

@@ -21,19 +21,15 @@
 //!
 //! # Merging across shards
 //!
-//! Like the registry, the profile is thread-local, and the two merge
-//! directions mirror the snapshot protocol exactly:
-//!
-//! * [`absorb_profile`] is the coordinator-side half of the drain
-//!   protocol: each absorbed stack is **grafted** under the absorbing
-//!   thread's current open span path, just as [`crate::absorb_snapshot`]
-//!   grafts worker span roots under the open span — a worker that
-//!   sampled inside `flow.build` lands at `flow;flow.build` when the
-//!   coordinator absorbs it inside its open `flow` span;
-//! * [`restore_profile`] merges stacks **verbatim**, mirroring
-//!   [`crate::restore_snapshot`]: the flow's panic quarantine puts the
-//!   profile aside and reinstates it on the same thread, where the
-//!   recorded paths are already absolute.
+//! Like the registry, the profile is thread-local and travels in a
+//! [`crate::Capture`], whose two merge directions treat stacks the way
+//! they treat span trees: [`crate::Capture::absorb`] **grafts** each
+//! stack under the absorbing thread's open span path (a worker that
+//! sampled inside `flow.build` lands at `flow;flow.build` when the
+//! coordinator absorbs it inside its open `flow` span), while
+//! [`crate::Capture::restore`] merges stacks **verbatim**, since a
+//! capture put aside and reinstated on the same thread already holds
+//! absolute paths.
 //!
 //! Counts add commutatively and the sample map is ordered, so merging
 //! in the fixed worker order yields one canonical profile at any job
@@ -47,16 +43,16 @@ use crate::json::Json;
 /// One profiler sample is recorded every this-many effort ticks.
 ///
 /// Effort ticks arrive roughly as fast as ITE recursion steps, so this
-/// sits above the timeline's 64-call interval: dense enough that every
-/// bench circuit produces samples, sparse enough that the sample map
-/// stays small and the hot-path check is a single multiple test.
+/// is dense enough that every bench circuit produces samples and sparse
+/// enough that the sample map stays small and the hot-path check is a
+/// single multiple test.
 pub const PROFILE_INTERVAL: u64 = 256;
 
 /// A tick-sampled profile: `(open-span path, op class) -> sample count`.
 ///
-/// Obtain via [`take_profile`], combine with [`Profile::merge`],
-/// [`absorb_profile`] or [`restore_profile`]. Every field is structural
-/// — there is no wall-clock anywhere in a profile.
+/// Obtain via [`crate::Capture`], combine with [`Profile::merge`].
+/// Every field is structural — there is no wall-clock anywhere in a
+/// profile.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Sample counts keyed by (`;`-joined span path, op class). Ordered,
@@ -84,51 +80,40 @@ pub fn observe(op: &'static str) {
 }
 
 /// Drains this thread's samples into an owned [`Profile`].
-#[must_use]
-pub fn take_profile() -> Profile {
+pub(crate) fn take_profile() -> Profile {
     PROFILE.with(|p| Profile {
         samples: std::mem::take(&mut p.borrow_mut()),
     })
 }
 
 /// Clears this thread's samples without returning them.
-pub fn clear_profile() {
+pub(crate) fn clear_profile() {
     let _ = take_profile();
 }
 
-/// Re-injects a drained worker profile into this thread's buffer,
-/// grafting each stack under the absorbing thread's current open span
-/// path (the profiler's analogue of [`crate::absorb_snapshot`]). Call
-/// in a fixed worker order; counts add, so the merged profile is
-/// deterministic regardless of thread scheduling.
-pub fn absorb_profile(worker: &Profile) {
-    let prefix = crate::registry::open_span_path().join(";");
+/// Merges a drained profile into this thread's buffer. With `graft`
+/// each stack lands under this thread's open span path (a worker's
+/// samples, [`crate::Capture::absorb`]); without it stacks merge
+/// verbatim (a profile put aside on this same thread,
+/// [`crate::Capture::restore`]). Counts add, so absorbing workers in a
+/// fixed order gives the same profile at any thread schedule.
+pub(crate) fn fold_profile(other: &Profile, graft: bool) {
+    let prefix = if graft {
+        crate::registry::open_span_path().join(";")
+    } else {
+        String::new()
+    };
     PROFILE.with(|p| {
         let mut p = p.borrow_mut();
-        for ((stack, op), count) in &worker.samples {
-            let grafted = graft(&prefix, stack);
-            *p.entry((grafted, op.clone())).or_insert(0) += count;
-        }
-    });
-}
-
-/// Reinstates a profile previously taken with [`take_profile`] on the
-/// **same thread**, merging stacks verbatim (the profiler's analogue of
-/// [`crate::restore_snapshot`]): the recorded paths are already
-/// absolute for this thread, so no grafting happens. The flow's panic
-/// quarantine uses this to put the profile aside around a
-/// `catch_unwind` and discard a panicked supernode's partial samples.
-pub fn restore_profile(saved: &Profile) {
-    PROFILE.with(|p| {
-        let mut p = p.borrow_mut();
-        for ((stack, op), count) in &saved.samples {
-            *p.entry((stack.clone(), op.clone())).or_insert(0) += count;
+        for ((stack, op), count) in &other.samples {
+            *p.entry((graft_path(&prefix, stack), op.clone()))
+                .or_insert(0) += count;
         }
     });
 }
 
 /// Joins a graft prefix and a sampled stack, eliding empty sides.
-fn graft(prefix: &str, stack: &str) -> String {
+fn graft_path(prefix: &str, stack: &str) -> String {
     match (prefix.is_empty(), stack.is_empty()) {
         (true, _) => stack.to_string(),
         (false, true) => prefix.to_string(),
@@ -210,7 +195,7 @@ impl Profile {
     pub fn folded(&self, prefix: &str) -> String {
         let mut out = String::new();
         for ((stack, op), count) in &self.samples {
-            let frames = graft(&graft(prefix, stack), op);
+            let frames = graft_path(&graft_path(prefix, stack), op);
             out.push_str(&frames);
             out.push(' ');
             out.push_str(&count.to_string());
@@ -270,8 +255,8 @@ mod tests {
         let worker = profile(&[("flow.build", "ite", 3), ("", "unique-insert", 1)]);
         {
             let _flow = crate::span_enter("flow");
-            absorb_profile(&worker);
-            absorb_profile(&worker);
+            fold_profile(&worker, true);
+            fold_profile(&worker, true);
         }
         let p = take_profile();
         assert_eq!(
@@ -293,7 +278,7 @@ mod tests {
         let saved = profile(&[("flow;flow.decompose", "ite", 5)]);
         {
             let _flow = crate::span_enter("flow");
-            restore_profile(&saved);
+            fold_profile(&saved, false);
         }
         let p = take_profile();
         // No doubled `flow` prefix: restore does not graft.

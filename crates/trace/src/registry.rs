@@ -3,12 +3,13 @@
 //! Each thread owns an independent registry, so parallel tests cannot
 //! contaminate each other's numbers and no locking sits on the hot path.
 //! Parallel phases (the sharded flow, worker pools) bridge the gap
-//! explicitly: each worker drains its own registry with [`take_snapshot`]
-//! (or [`drain_into`]) before exiting, and the coordinating thread folds
-//! the results back with [`Snapshot::merge`] or re-injects them into its
-//! live registry with [`absorb_snapshot`] — counters sum, gauges keep the
-//! maximum (every gauge in this workspace is a peak), histograms add
-//! bucket-wise, and span trees merge recursively by `(parent, name)`.
+//! explicitly: each worker drains its own thread with
+//! [`crate::Capture::take`] before exiting, and the coordinating thread
+//! folds the results back with [`Snapshot::merge`] or re-injects them
+//! into its live registry with [`crate::Capture::absorb`] — counters
+//! sum, gauges keep the maximum (every gauge in this workspace is a
+//! peak), histograms add bucket-wise, and span trees merge recursively
+//! by `(parent, name)`.
 //! Merging in a fixed worker order keeps the result deterministic
 //! regardless of thread scheduling.
 
@@ -463,7 +464,7 @@ impl Registry {
     }
 
     /// Merges a snapshot span tree under `parent` (the innermost open
-    /// span during [`absorb_snapshot`]): calls and nanoseconds add,
+    /// span during [`fold_snapshot`]): calls and nanoseconds add,
     /// children recurse.
     fn absorb_span(&mut self, parent: Option<usize>, snap: &SpanSnap) {
         let idx = self.node_under(parent, &snap.name);
@@ -599,7 +600,8 @@ pub fn reset() {
 /// a quiescent point — all span guards dropped — and debug builds assert
 /// `span_depth() == 0` to catch snapshots inside an open span, where the
 /// open span would show zero completed calls. Use
-/// [`take_snapshot_in_flight`] when a mid-span capture is intentional.
+/// [`crate::Capture::take_in_flight`] when a mid-span capture is
+/// intentional.
 ///
 /// ```
 /// bds_trace::reset();
@@ -622,7 +624,7 @@ pub fn take_snapshot() -> Snapshot {
         span_depth(),
         0,
         "take_snapshot inside an open span; drop the guards first or use \
-         take_snapshot_in_flight"
+         Capture::take_in_flight"
     );
     take_snapshot_in_flight()
 }
@@ -631,8 +633,8 @@ pub fn take_snapshot() -> Snapshot {
 /// the chain of open spans is preserved in the cleared registry (with
 /// zeroed timings) so in-flight guards keep recording into a consistent
 /// tree. The open spans appear in the snapshot with zero completed calls.
-#[must_use]
-pub fn take_snapshot_in_flight() -> Snapshot {
+/// Reached through [`crate::Capture::take_in_flight`].
+pub(crate) fn take_snapshot_in_flight() -> Snapshot {
     with(|r| {
         let snap = r.snapshot();
         let chain: Vec<String> = r.stack.iter().map(|&i| r.arena[i].name.clone()).collect();
@@ -644,26 +646,17 @@ pub fn take_snapshot_in_flight() -> Snapshot {
     })
 }
 
-/// Drains this thread's registry and folds it into `target` via
-/// [`Snapshot::merge`]. This is the worker-side half of the parallel
-/// drain protocol: a worker thread calls `drain_into` (or
-/// [`take_snapshot`]) before exiting, and the coordinator merges or
-/// [`absorb_snapshot`]s the result in a deterministic worker order.
-/// Debug builds assert all span guards are dropped, as in
-/// [`take_snapshot`].
-pub fn drain_into(target: &mut Snapshot) {
-    target.merge(&take_snapshot());
-}
-
 /// Folds a detached [`Snapshot`] into **this thread's live registry**:
-/// counters add, gauges keep the maximum, histograms merge, and the
-/// snapshot's span roots graft under the innermost span currently open
-/// on this thread (or become roots when none is open). This is how the
-/// sharded flow stitches worker metrics back so a later
-/// [`take_snapshot`] on the coordinating thread sees one combined tree,
-/// with worker phase spans nested under the coordinator's flow span
-/// exactly as in a sequential run.
-pub fn absorb_snapshot(snap: &Snapshot) {
+/// counters add, gauges keep the maximum and histograms merge. With
+/// `graft` the snapshot's span roots nest under the innermost span open
+/// on this thread, which is how a worker's phase spans land under the
+/// coordinator's flow span exactly as in a sequential run
+/// ([`crate::Capture::absorb`]). Without it they merge at root level by
+/// name, the inverse of [`take_snapshot_in_flight`]
+/// ([`crate::Capture::restore`]): grafting there would nest the
+/// snapshot's own open-chain placeholder (a zero-call `flow` root)
+/// under the live `flow` span and double the chain.
+pub(crate) fn fold_snapshot(snap: &Snapshot, graft: bool) {
     with(|r| {
         for (name, v) in &snap.counters {
             if let Some(slot) = r.counters.get_mut(name) {
@@ -686,52 +679,9 @@ pub fn absorb_snapshot(snap: &Snapshot) {
                 r.histograms.insert(name.clone(), *h);
             }
         }
-        let parent = r.stack.last().copied();
+        let parent = if graft { r.stack.last().copied() } else { None };
         for s in &snap.spans {
             r.absorb_span(parent, s);
-        }
-    });
-}
-
-/// Restores a snapshot previously taken with [`take_snapshot_in_flight`]
-/// back into this thread's live registry: counters add, gauges keep the
-/// maximum, histograms merge, and the snapshot's span roots merge **at
-/// root level** (by name, as [`Snapshot::merge`] would).
-///
-/// This is the inverse of [`take_snapshot_in_flight`] and differs from
-/// [`absorb_snapshot`] exactly there: `absorb_snapshot` grafts the
-/// snapshot under the innermost *open* span, which would nest the
-/// snapshot's own open-chain placeholder (e.g. a zero-call `flow` root)
-/// under the live `flow` span, doubling the chain. The flow layer's panic
-/// quarantine uses `restore_snapshot` to put aside and deterministically
-/// reinstate the coordinator's metrics around a `catch_unwind`, so a
-/// panicked supernode's partial trace can be discarded without poisoning
-/// the surrounding tree.
-pub fn restore_snapshot(snap: &Snapshot) {
-    with(|r| {
-        for (name, v) in &snap.counters {
-            if let Some(slot) = r.counters.get_mut(name) {
-                *slot += v;
-            } else {
-                r.counters.insert(name.clone(), *v);
-            }
-        }
-        for (name, v) in &snap.gauges {
-            if let Some(slot) = r.gauges.get_mut(name) {
-                *slot = (*slot).max(*v);
-            } else {
-                r.gauges.insert(name.clone(), *v);
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(slot) = r.histograms.get_mut(name) {
-                slot.merge(h);
-            } else {
-                r.histograms.insert(name.clone(), *h);
-            }
-        }
-        for s in &snap.spans {
-            r.absorb_span(None, s);
         }
     });
 }
@@ -841,7 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_inverts_take_snapshot_in_flight() {
+    fn plain_fold_inverts_take_snapshot_in_flight() {
         reset();
         let outer = crate::span_enter("outer");
         add_counter("before", 1);
@@ -855,7 +805,7 @@ mod tests {
         let _ = take_snapshot_in_flight();
         // …and reinstate. The open `outer` chain must merge with the saved
         // root-level `outer` placeholder instead of nesting under it.
-        restore_snapshot(&saved);
+        fold_snapshot(&saved, false);
         {
             let _inner = crate::span_enter("inner");
         }
@@ -968,31 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_collects_worker_threads() {
-        reset();
-        let mut merged = Snapshot::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(|| {
-                        add_counter("work.items", 2);
-                        let mut out = Snapshot::default();
-                        drain_into(&mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                merged.merge(&h.join().expect("worker panicked"));
-            }
-        });
-        assert_eq!(merged.counter("work.items"), Some(6));
-        // The coordinating thread's own registry was never touched.
-        assert_eq!(counter_value("work.items"), 0);
-    }
-
-    #[test]
-    fn absorb_snapshot_grafts_under_open_span() {
+    fn fold_snapshot_grafts_under_open_span() {
         reset();
         let worker = Snapshot {
             counters: vec![("w.steps".into(), 4)],
@@ -1006,8 +932,8 @@ mod tests {
         };
         {
             let _flow = crate::span_enter("flow");
-            absorb_snapshot(&worker);
-            absorb_snapshot(&worker);
+            fold_snapshot(&worker, true);
+            fold_snapshot(&worker, true);
         }
         let snap = take_snapshot();
         assert_eq!(snap.counter("w.steps"), Some(8));

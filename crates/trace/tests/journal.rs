@@ -16,8 +16,8 @@ use bds_prop::{check_cases, Rng};
 use bds_trace::export::{folded_stacks, perfetto_trace};
 use bds_trace::json::{parse, Json};
 use bds_trace::{
-    clear_journal, record_event, set_journal_capacity, take_journal, Event, EventKind, FieldValue,
-    Journal, DEFAULT_JOURNAL_CAPACITY,
+    record_event, set_journal_capacity, Capture, Event, EventKind, FieldValue, Journal,
+    DEFAULT_JOURNAL_CAPACITY,
 };
 
 /// Random capacity, random load: the ring keeps exactly the newest
@@ -26,14 +26,14 @@ use bds_trace::{
 #[test]
 fn ring_wraparound_keeps_newest_events() {
     check_cases("journal-wraparound", 48, |rng: &mut Rng| {
-        clear_journal();
+        bds_trace::reset();
         let capacity = rng.range_usize(1..32);
         set_journal_capacity(capacity);
         let pushed = rng.range_usize(0..96);
         for i in 0..pushed {
             record_event("tick", vec![("i", FieldValue::from(i))]);
         }
-        let journal = take_journal();
+        let journal = Capture::take().journal;
         assert_eq!(journal.events.len(), pushed.min(capacity));
         assert_eq!(journal.dropped, pushed.saturating_sub(capacity) as u64);
         let first_kept = pushed - journal.events.len();
@@ -163,16 +163,16 @@ fn folded_stacks_emit_one_line_per_live_leaf() {
     }
 }
 
-/// Real span guards drained through `take_journal` export balanced
+/// Real span guards drained through `Capture::take` export balanced
 /// streams too (not just hand-built journals).
 #[test]
 fn span_guards_produce_balanced_perfetto_stream() {
-    clear_journal();
+    bds_trace::reset();
     {
         let _outer = bds_trace::span_enter("outer");
         let _inner = bds_trace::span_enter("inner");
     }
-    let journal = take_journal();
+    let journal = Capture::take().journal;
     // Guards always feed the journal (the machinery is not gated), so
     // two enters and two exits must have been recorded.
     assert_eq!(journal.events.len(), 4);

@@ -79,12 +79,12 @@ fn span_nesting_always_balances() {
             }
             assert_eq!(bds_trace::span_depth(), guards.len());
         }
-        // A snapshot taken with spans still open must report the open
+        // A capture taken with spans still open must report the open
         // chain without disturbing it. (The plain `take_snapshot` debug-
-        // asserts depth 0; the `_in_flight` variant is the sanctioned
+        // asserts depth 0; `Capture::take_in_flight` is the sanctioned
         // mid-span capture.)
         let depth_before = bds_trace::span_depth();
-        let snap = bds_trace::take_snapshot_in_flight();
+        let snap = bds_trace::Capture::take_in_flight().snapshot;
         assert_eq!(bds_trace::span_depth(), depth_before);
         if depth_before > 0 {
             assert!(!snap.spans.is_empty());

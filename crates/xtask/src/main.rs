@@ -36,14 +36,11 @@
 //!   The wall-time allowance honors `BDS_PERFGATE_TOLERANCE`
 //!   (`PCT` or `PCT+FLOOR`, e.g. `150+0.5`).
 //!
-//!   When a telemetry baseline exists (`results/TELEMETRY.json`,
-//!   override with `--telemetry-baseline <path>`), the fresh run also
-//!   writes `target/perfgate/telemetry.json` and gates the engine
-//!   metrics — cache hit rate may not drop, peak arena bytes and peak
-//!   unique-table load may not grow — through
-//!   [`bds_trace::gate::compare_telemetry`]. All three are
-//!   deterministic across `--jobs` settings, so the telemetry gate is
-//!   exact (modulo float round-tripping).
+//!   The same comparison gates the engine metrics each report row
+//!   embeds (`telemetry`): cache hit rate may not drop, peak arena
+//!   bytes and peak unique-table load may not grow. All three are
+//!   deterministic across `--jobs` settings, so that check is exact
+//!   (modulo float round-tripping).
 //!
 //!   On any regression the gate **attributes the blame**: it diffs the
 //!   baseline and fresh span trees through [`bds_trace::attr`] and
@@ -77,9 +74,7 @@ fn main() -> ExitCode {
             eprintln!("  ci        fmt --check, clippy -D warnings, custom lints, tests");
             eprintln!("  perfgate  gate a fresh table1 run against the checked-in baseline");
             eprintln!("            [--baseline <report.json>] [--fresh <report.json>]");
-            eprintln!(
-                "            [--telemetry-baseline <telemetry.json>] [--jobs <n>] [--record]"
-            );
+            eprintln!("            [--jobs <n>] [--record]");
             eprintln!("  perfhist  render the perf history ledger [--ledger <path>] [--check]");
             ExitCode::from(2)
         }
@@ -229,13 +224,6 @@ const FRESH_REPORT: &str = "target/perfgate/fresh.json";
 /// Default baseline: the checked-in trace-enabled `table1` report.
 const BASELINE_REPORT: &str = "results/BENCH_flow.json";
 
-/// Where `perfgate` leaves the freshly generated telemetry document
-/// (relative to the workspace root) so CI can upload it as an artifact.
-const FRESH_TELEMETRY: &str = "target/perfgate/telemetry.json";
-
-/// Default telemetry baseline: the checked-in `bds-telemetry/v1` file.
-const TELEMETRY_BASELINE: &str = "results/TELEMETRY.json";
-
 /// Where self-run gates leave the Perfetto trace-event export.
 const FRESH_PERFETTO: &str = "target/perfgate/perfetto.json";
 
@@ -255,7 +243,6 @@ const LEDGER_PATH: &str = "results/history/perf.jsonl";
 fn run_perfgate(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let mut baseline = root.join(BASELINE_REPORT);
-    let mut telemetry_baseline = root.join(TELEMETRY_BASELINE);
     let mut fresh: Option<PathBuf> = None;
     let mut jobs: Option<String> = None;
     let mut record = false;
@@ -265,10 +252,6 @@ fn run_perfgate(args: &[String]) -> ExitCode {
             "--baseline" => match it.next() {
                 Some(p) => baseline = PathBuf::from(p),
                 None => return perfgate_usage("--baseline needs a path"),
-            },
-            "--telemetry-baseline" => match it.next() {
-                Some(p) => telemetry_baseline = PathBuf::from(p),
-                None => return perfgate_usage("--telemetry-baseline needs a path"),
             },
             "--fresh" => match it.next() {
                 Some(p) => fresh = Some(PathBuf::from(p)),
@@ -286,9 +269,6 @@ fn run_perfgate(args: &[String]) -> ExitCode {
         return perfgate_usage("--jobs only applies when perfgate runs table1 itself");
     }
 
-    // Telemetry is only regenerated when perfgate runs table1 itself; a
-    // pre-generated `--fresh` report carries no timeline file to diff.
-    let mut fresh_telemetry: Option<PathBuf> = None;
     let fresh = match fresh {
         Some(path) => path,
         None => {
@@ -310,8 +290,6 @@ fn run_perfgate(args: &[String]) -> ExitCode {
                 "--",
                 "--json",
                 FRESH_REPORT,
-                "--telemetry",
-                FRESH_TELEMETRY,
                 // Exporters ride along on every self-run gate so CI can
                 // upload the Perfetto trace, the folded span stacks and
                 // the deterministic profile next to the report.
@@ -330,7 +308,6 @@ fn run_perfgate(args: &[String]) -> ExitCode {
                 eprintln!("perfgate: table1 run failed");
                 return ExitCode::FAILURE;
             }
-            fresh_telemetry = Some(root.join(FRESH_TELEMETRY));
             out
         }
     };
@@ -403,30 +380,9 @@ fn run_perfgate(args: &[String]) -> ExitCode {
         Err(err) => eprintln!("perfgate: cannot attribute: {err}"),
     }
 
-    // Engine-telemetry gate: exact comparison of cache hit rate and the
-    // memory peaks when both the checked-in baseline and a fresh
-    // telemetry document exist.
-    let mut telemetry_failed = false;
-    match &fresh_telemetry {
-        Some(fresh_path) if telemetry_baseline.exists() => {
-            match gate_telemetry(&telemetry_baseline, fresh_path) {
-                Ok(passed) => telemetry_failed = !passed,
-                Err(err) => {
-                    eprintln!("perfgate: telemetry gate: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Some(_) => println!(
-            "perfgate: no telemetry baseline at {} — skipping the telemetry gate",
-            telemetry_baseline.display()
-        ),
-        None => println!("perfgate: --fresh given — skipping the telemetry gate"),
-    }
-
-    if outcome.passed() && !telemetry_failed {
+    if outcome.passed() {
         if record {
-            if let Err(err) = record_ledger(&root, &fresh_doc, fresh_telemetry.as_deref()) {
+            if let Err(err) = record_ledger(&root, &fresh_doc) {
                 eprintln!("perfgate: cannot record ledger entry: {err}");
                 return ExitCode::FAILURE;
             }
@@ -445,20 +401,8 @@ fn run_perfgate(args: &[String]) -> ExitCode {
 /// Appends one `bds-perf-ledger/v1` line for the gated run to
 /// `results/history/perf.jsonl`, stamped with the current short commit
 /// hash (`unknown` outside a git checkout).
-fn record_ledger(
-    root: &Path,
-    fresh_doc: &bds_trace::json::Json,
-    telemetry: Option<&Path>,
-) -> Result<(), String> {
-    let telemetry_doc = match telemetry {
-        Some(path) => Some(load_report(path).map_err(|e| format!("{}: {e}", path.display()))?),
-        None => None,
-    };
-    let entry = bds_trace::ledger::LedgerEntry::from_report(
-        fresh_doc,
-        telemetry_doc.as_ref(),
-        &short_commit(root),
-    )?;
+fn record_ledger(root: &Path, fresh_doc: &bds_trace::json::Json) -> Result<(), String> {
+    let entry = bds_trace::ledger::LedgerEntry::from_report(fresh_doc, &short_commit(root))?;
     let path = root.join(LEDGER_PATH);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
@@ -552,25 +496,6 @@ fn perfhist_usage(problem: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Runs the telemetry gate between two `bds-telemetry/v1` files.
-/// Returns `Ok(true)` when it passed.
-fn gate_telemetry(baseline: &Path, fresh: &Path) -> Result<bool, String> {
-    let baseline_doc =
-        load_report(baseline).map_err(|e| format!("cannot load {}: {e}", baseline.display()))?;
-    let fresh_doc =
-        load_report(fresh).map_err(|e| format!("cannot load {}: {e}", fresh.display()))?;
-    let outcome = bds_trace::gate::compare_telemetry(&baseline_doc, &fresh_doc)?;
-    print!("telemetry {}", outcome.render());
-    if outcome.matched == 0 {
-        return Err(format!(
-            "no circuits in common between {} and {} — refusing to pass an empty gate",
-            baseline.display(),
-            fresh.display()
-        ));
-    }
-    Ok(outcome.passed())
-}
-
 fn load_report(path: &Path) -> Result<bds_trace::json::Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     bds_trace::json::parse(&text).map_err(|e| e.to_string())
@@ -580,7 +505,7 @@ fn perfgate_usage(problem: &str) -> ExitCode {
     eprintln!("perfgate: {problem}");
     eprintln!(
         "usage: cargo xtask perfgate [--baseline <report.json>] [--fresh <report.json>] \
-         [--telemetry-baseline <telemetry.json>] [--jobs <n>] [--record]"
+         [--jobs <n>] [--record]"
     );
     ExitCode::from(2)
 }

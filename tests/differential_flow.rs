@@ -244,41 +244,6 @@ fn three_jobs4_runs_are_byte_identical() {
 }
 
 #[test]
-fn jobs1_and_jobs4_timelines_are_structurally_identical() {
-    // The sampled telemetry timeline obeys the same contract as every
-    // other report field: the structural projection (scope, tick, and
-    // every sampled gauge — everything except `wall_ns`) must render to
-    // byte-identical JSON at any job count. Without `--features trace`
-    // sampling is compiled out and both timelines are empty.
-    let suite: Vec<(String, Network)> = vec![
-        ("csel8".into(), carry_select_adder(8, 2)),
-        ("ecc16".into(), hamming_encoder(16)),
-        ("m4x4".into(), multiplier(4, 4)),
-    ];
-    for (name, net) in suite {
-        bds_trace::reset();
-        let _ = optimize(&net, &params(1)).unwrap();
-        let seq = bds_trace::timeline::take_timeline();
-        bds_trace::reset();
-        let _ = optimize(&net, &params(4)).unwrap();
-        let par = bds_trace::timeline::take_timeline();
-        assert_eq!(
-            seq.structural_json().render(),
-            par.structural_json().render(),
-            "{name}: timeline structural fields diverged between jobs=1 and jobs=4"
-        );
-        if bds_trace::is_enabled() {
-            assert!(
-                !seq.is_empty(),
-                "{name}: trace-enabled run should have sampled the timeline"
-            );
-        } else {
-            assert!(seq.is_empty() && par.is_empty());
-        }
-    }
-}
-
-#[test]
 fn jobs1_and_jobs4_profiles_are_byte_identical() {
     // The effort-tick profiler samples on a clock that is a pure
     // function of the work performed, and worker samples are grafted
@@ -294,10 +259,10 @@ fn jobs1_and_jobs4_profiles_are_byte_identical() {
     for (name, net) in suite {
         bds_trace::reset();
         let _ = optimize(&net, &params(1)).unwrap();
-        let seq = bds_trace::profile::take_profile();
+        let seq = bds_trace::Capture::take().profile;
         bds_trace::reset();
         let _ = optimize(&net, &params(4)).unwrap();
-        let par = bds_trace::profile::take_profile();
+        let par = bds_trace::Capture::take().profile;
         assert_eq!(
             seq.to_json().render(),
             par.to_json().render(),

@@ -574,7 +574,7 @@ fn registry_view(snap: &bds_trace::Snapshot) -> Vec<(String, u64)> {
 }
 
 /// Runs `prog` against a fresh registry, optionally inserting a
-/// `take_snapshot_in_flight` → `restore_snapshot` pair before step
+/// `Capture::take_in_flight` → `Capture::restore` pair before step
 /// `round_trip_at`, and returns the final quiescent projection.
 fn run_registry_program(prog: &[RegistryOp], round_trip_at: Option<usize>) -> Vec<(String, u64)> {
     const SPANS: [&str; 4] = ["flow", "flow.build", "flow.decompose", "flow.sharing"];
@@ -585,13 +585,13 @@ fn run_registry_program(prog: &[RegistryOp], round_trip_at: Option<usize>) -> Ve
     for (i, &(op, sel, val)) in prog.iter().enumerate() {
         if round_trip_at == Some(i) {
             let depth = bds_trace::span_depth();
-            let snap = bds_trace::take_snapshot_in_flight();
+            let capture = bds_trace::Capture::take_in_flight();
             assert_eq!(
                 bds_trace::span_depth(),
                 depth,
                 "in-flight capture must re-open the span chain"
             );
-            bds_trace::restore_snapshot(&snap);
+            capture.restore();
             assert_eq!(
                 bds_trace::span_depth(),
                 depth,
@@ -608,11 +608,18 @@ fn run_registry_program(prog: &[RegistryOp], round_trip_at: Option<usize>) -> Ve
         }
     }
     drop(guards);
-    registry_view(&bds_trace::take_snapshot())
+    let capture = bds_trace::Capture::take();
+    let mut view = registry_view(&capture.snapshot);
+    // The journal is part of the capture too: its span boundaries must
+    // come back in recording order.
+    for (i, e) in capture.journal.events.iter().enumerate() {
+        view.push((format!("journal:{i:04}:{:?}:{}", e.kind, e.name), 0));
+    }
+    view
 }
 
 /// The mid-flight capture protocol round-trips the registry:
-/// `take_snapshot_in_flight` immediately followed by `restore_snapshot`
+/// `Capture::take_in_flight` immediately followed by `Capture::restore`
 /// is a no-op — same counters, gauges, histogram counts, span call tree
 /// and open-span depth — wherever the pair lands inside a random
 /// span-nesting workload. This is the invariant the quarantined flow
